@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
 The hard enumeration cap is n = 8 and the CHROMSYM_NMAX environment variable
-can only lower it.
+can only lower it; a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from .symfunc import SymFun
 HARD_CAP = 8
 
 
-def _cap() -> int:
-    cap = HARD_CAP
+def _cap(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("CHROMSYM_NMAX")
-    if env is not None:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            pass
-    return cap
+    if env is None:
+        return HARD_CAP
+    try:
+        return min(HARD_CAP, int(env))
+    except ValueError:
+        parser.error(f"CHROMSYM_NMAX must be an integer, got {env!r}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -104,11 +103,11 @@ def _cmd_compute(args, parser) -> int:
         parser.error(f"--what {args.what} requires --m")
     if args.m is not None:
         m = hess(args.m)
-        if len(m) > _cap():
-            parser.error(f"n = {len(m)} exceeds the cap {_cap()}")
+        if len(m) > args.cap:
+            parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     if args.what == "X":
         engines = {
-            "coloring": lambda: coloring.x_colorings(m, bound=_cap()),
+            "coloring": lambda: coloring.x_colorings(m, bound=args.cap),
             "transition": lambda: transition.x_from_table(m),
             "cycle-sum": lambda: gfunctions.x_cycle_sum(m),
             "schur": lambda: ptableaux.x_schur(m),
@@ -133,8 +132,8 @@ def _cmd_compute(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.n > _cap():
-        parser.error(f"--n {args.n} exceeds the cap {_cap()}")
+    if args.n > args.cap:
+        parser.error(f"--n {args.n} exceeds the cap {args.cap}")
     report = verify.run_suite(args.suite, args.n)
     if args.json:
         print(json.dumps(report))
@@ -151,8 +150,8 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_reduce(args, parser) -> int:
     m = hess(args.m)
-    if len(m) > _cap():
-        parser.error(f"n = {len(m)} exceeds the cap {_cap()}")
+    if len(m) > args.cap:
+        parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     cert = modular.reduce_to_paths(m)
     if args.emit == "json":
         print(json.dumps(modular.certificate_json(m, cert)))
@@ -164,8 +163,8 @@ def _cmd_reduce(args, parser) -> int:
 
 def _cmd_trace(args, parser) -> int:
     m = hess(args.m)
-    if len(m) > _cap():
-        parser.error(f"n = {len(m)} exceeds the cap {_cap()}")
+    if len(m) > args.cap:
+        parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     for rec in transition.trace(m):
         shape = [len(row) for row in rec["child"]]
         parent = [list(row) for row in rec["parent"]]
@@ -180,6 +179,7 @@ def _cmd_trace(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    args.cap = _cap(parser)
     try:
         if args.command == "compute":
             return _cmd_compute(args, parser)

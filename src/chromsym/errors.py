@@ -5,6 +5,14 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+class InvariantViolation(ArithmeticError):
+    """Raised when an internal invariant of a construction fails.
+
+    These checks are raises rather than asserts so they still run under
+    ``python -O``.
+    """
+
+
 class PoleAtPoint(ZeroDivisionError):
     """Raised when a rational function is evaluated at a root of its denominator."""
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .errors import InvariantViolation
+
 Hess = tuple[int, ...]
 
 
@@ -181,6 +183,7 @@ def classify(m: Hess) -> UnionOfPaths | Flat | NonFlat:
             if m[a - 1] == m[a]:
                 return Flat(a, beta)
             # the largest-alpha choice forces the step to be exactly one
-            assert m[a] == m[a - 1] + 1, f"non-flat step broken at {m}"
+            if m[a] != m[a - 1] + 1:
+                raise InvariantViolation(f"non-flat step broken at {m}")
             return NonFlat(a, beta)
-    raise AssertionError(f"no split point found for non-path {m}")
+    raise InvariantViolation(f"no split point found for non-path {m}")

@@ -16,9 +16,10 @@ two-component unions of a single edge and an isolated vertex.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
-from .errors import DegreeMismatch, NotFlat, NotNonFlat, SizeLimitExceeded
+from .errors import DegreeMismatch, InvariantViolation, NotFlat, NotNonFlat, SizeLimitExceeded
 from .hessenberg import (
     Flat,
     Hess,
@@ -28,10 +29,10 @@ from .hessenberg import (
     enumerate_hess,
     union_of_paths,
 )
-from .qpoly import Q, QRat, q_int
+from .qpoly import RAT_ONE, RAT_ZERO, Q, QRat, q_int
 from .symfunc import SymFun
 
-Certificate = dict[tuple[int, ...], QRat]
+Certificate = Mapping[tuple[int, ...], QRat]
 Triple = tuple[Hess, Hess, Hess, int]
 
 DEFAULT_BOUND = 8
@@ -115,7 +116,8 @@ def split_flat(m: Hess) -> tuple[Hess, Hess]:
     b = shape.beta
     m0 = m[: b - 1] + (m[b - 1] - 2,) + m[b:]
     m1 = m[: b - 1] + (m[b - 1] - 1,) + m[b:]
-    assert is_type1(m0, m1, m, b), f"flat split broke the type-I predicate at {m}"
+    if not is_type1(m0, m1, m, b):
+        raise InvariantViolation(f"flat split broke the type-I predicate at {m}")
     return m0, m1
 
 
@@ -134,14 +136,16 @@ def split_nonflat(m: Hess) -> tuple[Hess, Hess, Hess]:
     m2 = m[: a - 1] + (m[a - 1] + 1,) + m[a:]
     m0_1 = m2[: b - 1] + (m2[b - 1] - 2,) + m2[b:]
     m_1 = m2[: b - 1] + (m2[b - 1] - 1,) + m2[b:]
-    assert is_type2(m0, m, m2, a, restricted=True), f"non-flat split broke type II at {m}"
-    assert is_type1(m0_1, m_1, m2, b), f"non-flat split broke type I at {m}"
+    if not is_type2(m0, m, m2, a, restricted=True):
+        raise InvariantViolation(f"non-flat split broke type II at {m}")
+    if not is_type1(m0_1, m_1, m2, b):
+        raise InvariantViolation(f"non-flat split broke type I at {m}")
     return m0, m0_1, m_1
 
 
-def _merge(target: Certificate, source: Certificate, factor: QRat) -> None:
+def _merge(target: dict, source: Certificate, factor: QRat) -> None:
     for key, coeff in source.items():
-        value = target.get(key, QRat(0)) + factor * coeff
+        value = target.get(key, RAT_ZERO) + factor * coeff
         if value.is_zero():
             target.pop(key, None)
         else:
@@ -154,14 +158,15 @@ def reduce_to_paths(m: Hess, bound: int = DEFAULT_BOUND) -> Certificate:
 
     Sound for every f satisfying the restricted modular law; terminates
     because flat steps lower the area and non-flat steps move a cell of the
-    Dyck path strictly to the right.
+    Dyck path strictly to the right.  The result is cached, so it is a
+    read-only view.
     """
     if len(m) > bound:
         raise SizeLimitExceeded(f"n = {len(m)} exceeds bound {bound}")
     shape = classify(m)
     if isinstance(shape, UnionOfPaths):
-        return {shape.parts: QRat(1)}
-    out: Certificate = {}
+        return MappingProxyType({shape.parts: RAT_ONE})
+    out: dict[tuple[int, ...], QRat] = {}
     if isinstance(shape, Flat):
         m0, m1 = split_flat(m)
         _merge(out, reduce_to_paths(m1, bound), QRat(_ONE_PLUS_Q))
@@ -172,7 +177,7 @@ def reduce_to_paths(m: Hess, bound: int = DEFAULT_BOUND) -> Certificate:
         _merge(out, reduce_to_paths(m_1, bound), QRat(1))
         _merge(out, reduce_to_paths(m0, bound), ratio)
         _merge(out, reduce_to_paths(m0_1, bound), -ratio)
-    return out
+    return MappingProxyType(out)
 
 
 def law_defect(f: Callable[[Hess], SymFun], triple: Triple) -> SymFun:

@@ -3,16 +3,17 @@
 An orientation is stored as a frozenset of directed pairs (tail, head), one
 per graph edge.  Ascents are edges directed toward their larger endpoint.
 Sinks of an acyclic orientation are pairwise comparable in the poset, so a
-smallest sink always exists; both facts are asserted rather than assumed.
+smallest sink always exists; both facts are checked rather than assumed, and
+a failed check raises :class:`InvariantViolation`.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidFilling, SizeLimitExceeded
+from .errors import InvalidFilling, InvariantViolation, SizeLimitExceeded
 from .hessenberg import Hess, edges, poset_less
 from .partitions import Partition
 from .ptableaux import Filling, entry_rows, enumerate_pt
-from .qpoly import QPoly, QRat
+from .qpoly import RAT_ZERO, QPoly, QRat
 from .symfunc import SymFun
 
 Orientation = frozenset[tuple[int, int]]
@@ -71,13 +72,12 @@ def smallest_sink(m: Hess, theta: Orientation) -> int:
     for a in ss:
         for b in ss:
             if a != b:
-                assert poset_less(m, a, b) or poset_less(m, b, a), (
-                    f"incomparable sinks {a}, {b} in {theta}"
-                )
+                if not (poset_less(m, a, b) or poset_less(m, b, a)):
+                    raise InvariantViolation(f"incomparable sinks {a}, {b} in {theta}")
     for a in ss:
         if all(a == b or poset_less(m, a, b) for b in ss):
             return a
-    raise AssertionError("no minimal sink found")
+    raise InvariantViolation("no minimal sink found")
 
 
 def theta_of(m: Hess, rows: Filling) -> Orientation:
@@ -93,7 +93,8 @@ def theta_of(m: Hess, rows: Filling) -> Orientation:
         else:
             directed.append((j, i))
     theta = frozenset(directed)
-    assert _is_acyclic(n, directed), "tableau orientation must be acyclic"
+    if not _is_acyclic(n, directed):
+        raise InvariantViolation("tableau orientation must be acyclic")
     return theta
 
 
@@ -113,7 +114,7 @@ def length_distribution(f: SymFun) -> dict[int, QRat]:
     out: dict[int, QRat] = {}
     for lam, c in f.to_e().coeffs.items():
         ell = len(lam)
-        out[ell] = out.get(ell, QRat(0)) + c
+        out[ell] = out.get(ell, RAT_ZERO) + c
     return {ell: c for ell, c in out.items() if not c.is_zero()}
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .errors import InvalidFilling, IsBaseTableau, SizeLimitExceeded
+from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, SizeLimitExceeded
 from .hessenberg import Hess, edges, path
 from .partitions import Partition, partitions, shape_of
 from .qpoly import QPoly
@@ -273,7 +273,7 @@ def path_peel(rows: Filling) -> tuple[Filling, int]:
             tuple(x for x in row if x < low) for row in rows if any(x < low for x in row)
         )
         return stripped, j
-    raise AssertionError(f"no strip found in {rows}")
+    raise InvariantViolation(f"no strip found in {rows}")
 
 
 def path_unpeel(rows: Filling, j: int, outer: Partition) -> Filling:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
-from .qpoly import QPoly, QRat, RAT_ONE
+from .qpoly import RAT_ONE, RAT_ZERO, QPoly, QRat
 
 BASES = ("e", "h", "m", "s")
 
@@ -75,7 +75,7 @@ class SymFun:
         return not self.coeffs
 
     def coeff(self, lam) -> QRat:
-        return self.coeffs.get(tuple(lam), QRat(0))
+        return self.coeffs.get(tuple(lam), RAT_ZERO)
 
     # --- basis conversions -------------------------------------------------
 
@@ -125,7 +125,7 @@ class SymFun:
             a, b = a.to_e(), b.to_e()
         out = dict(a.coeffs)
         for lam, c in b.coeffs.items():
-            out[lam] = out.get(lam, QRat(0)) + c
+            out[lam] = out.get(lam, RAT_ZERO) + c
         return SymFun(a.degree, a.basis, out)
 
     def __neg__(self) -> "SymFun":
@@ -146,7 +146,7 @@ class SymFun:
                 for mu, d in b.coeffs.items():
                     key = tuple(sorted(lam + mu, reverse=True))
                     prod = c * d
-                    out[key] = out.get(key, QRat(0)) + prod
+                    out[key] = out.get(key, RAT_ZERO) + prod
             return SymFun(a.degree + b.degree, "e", out)
         return self.scaled(other)
 
@@ -199,10 +199,10 @@ class SymFun:
 
 def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
     basis_list, rows = matrix
-    vec = [f.coeffs.get(lam, QRat(0)) for lam in basis_list]
+    vec = [f.coeffs.get(lam, RAT_ZERO) for lam in basis_list]
     out: dict[Partition, QRat] = {}
     for i, lam in enumerate(basis_list):
-        total = QRat(0)
+        total = RAT_ZERO
         for j, c in enumerate(vec):
             a = rows[i][j]
             if a and not c.is_zero():

@@ -8,17 +8,18 @@ the growth process with the thresholds prescribed by a Hessenberg function m
 tableau of size n, and these probabilities drive the elementary-basis
 expansion refinements.
 
-The dynamic program keeps values as a polynomial numerator together with a
-multiset of q-integer indices for the denominator, so no polynomial gcd is
-ever taken in the hot loop; exact division happens once per extracted
-coefficient and doubles as a polynomiality assertion.
+Every weight is a product of q-integers over a product of q-integers, built
+with :meth:`QRat.over_q_ints`, so every value of the dynamic program keeps its
+denominator as cyclotomic exponents and no polynomial gcd is ever taken.  The
+coefficients extracted at the end must be polynomials; ``as_poly`` raises
+:class:`NotDivisible` when one is not, which doubles as a polynomiality check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import SizeLimitExceeded
+from .errors import InvariantViolation, SizeLimitExceeded
 from .hessenberg import Hess, area
 from .partitions import (
     Partition,
@@ -27,7 +28,7 @@ from .partitions import (
     partitions,
     shape_of,
 )
-from .qpoly import ONE, QPoly, QRat, q_fact, q_int
+from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_fact, q_int
 from .symfunc import SymFun
 
 DEFAULT_BOUND = 8
@@ -84,7 +85,8 @@ def insert_at_column(tableau: Tableau, column: int) -> Tableau:
     height = sum(1 for row in rows if len(row) >= column)
     if height == len(rows):
         rows.append([])
-    assert len(rows[height]) == column - 1, "insertion breaks the shape"
+    if len(rows[height]) != column - 1:
+        raise InvariantViolation(f"inserting at column {column} breaks the shape of {tableau}")
     rows[height].append(n + 1)
     return tuple(tuple(row) for row in rows)
 
@@ -98,8 +100,8 @@ def insertions(tableau: Tableau, r: int) -> list[tuple[int, Tableau]]:
     ]
 
 
-def _weight_runs(runs: Runs, k: int, modified: bool) -> tuple[QPoly, tuple[int, ...]]:
-    """Insertion weight as (numerator, q-integer denominator indices).
+def _weight_runs(runs: Runs, k: int, modified: bool) -> QRat:
+    """Insertion weight: a power of q times q-integers over q-integers.
 
     ``modified`` selects the q-power sum(b_i, i > k) in front; the original
     variant uses sum(a_i, i <= k) instead, everything else being equal.
@@ -122,63 +124,17 @@ def _weight_runs(runs: Runs, k: int, modified: bool) -> tuple[QPoly, tuple[int, 
     for i in range(k + 1, l + 1):
         num = num * q_int(sum(a[k:i]) + sum(b[k : i - 1]))
         den.append(sum(a[k:i]) + sum(b[k:i]))
-    return num, tuple(sorted(den))
-
-
-def _den_poly(den: tuple[int, ...]) -> QPoly:
-    out = ONE
-    for j in den:
-        out = out * q_int(j)
-    return out
-
-
-def _to_qrat(value: tuple[QPoly, tuple[int, ...]]) -> QRat:
-    num, den = value
-    return QRat(num, _den_poly(den))
-
-
-def _mul(value, weight):
-    num, den = value
-    wnum, wden = weight
-    return num * wnum, tuple(sorted(den + wden))
-
-
-def _add(v1, v2):
-    num1, den1 = v1
-    num2, den2 = v2
-    if den1 == den2:
-        return num1 + num2, den1
-    merged: dict[int, int] = {}
-    for j in den1:
-        merged[j] = merged.get(j, 0) + 1
-    extra2 = dict(merged)
-    for j in den2:
-        if extra2.get(j, 0) > 0:
-            extra2[j] -= 1
-        else:
-            merged[j] = merged.get(j, 0) + 1
-    # merged now holds the per-index max; extra2 the deficit of den2
-    den = tuple(sorted(j for j, c in merged.items() for _ in range(c)))
-    extra1: dict[int, int] = dict(merged)
-    for j in den1:
-        extra1[j] -= 1
-    for j, c in extra1.items():
-        for _ in range(c):
-            num1 = num1 * q_int(j)
-    for j, c in extra2.items():
-        for _ in range(c):
-            num2 = num2 * q_int(j)
-    return num1 + num2, den
+    return QRat.over_q_ints(num, den)
 
 
 def psi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (modified variant)."""
-    return _to_qrat(_weight_runs(delta_runs(delta_bits(tableau, r)), k, modified=True))
+    return _weight_runs(delta_runs(delta_bits(tableau, r)), k, modified=True)
 
 
 def phi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (original variant)."""
-    return _to_qrat(_weight_runs(delta_runs(delta_bits(tableau, r)), k, modified=False))
+    return _weight_runs(delta_runs(delta_bits(tableau, r)), k, modified=False)
 
 
 def thresholds(m: Hess) -> list[int]:
@@ -188,17 +144,16 @@ def thresholds(m: Hess) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _table_raw(m: Hess, modified: bool) -> dict[Tableau, tuple[QPoly, tuple[int, ...]]]:
-    states: dict[Tableau, tuple[QPoly, tuple[int, ...]]] = {(): (ONE, ())}
+def _table_raw(m: Hess, modified: bool) -> dict[Tableau, QRat]:
+    states: dict[Tableau, QRat] = {(): RAT_ONE}
     for r in thresholds(m):
-        new: dict[Tableau, tuple[QPoly, tuple[int, ...]]] = {}
+        new: dict[Tableau, QRat] = {}
         for tab, value in states.items():
             runs = delta_runs(delta_bits(tab, r))
             for k in range(len(runs[1]) + 1):
-                weight = _weight_runs(runs, k, modified)
                 child = insert_at_column(tab, insertion_column(runs, k))
-                contrib = _mul(value, weight)
-                new[child] = _add(new[child], contrib) if child in new else contrib
+                contrib = value * _weight_runs(runs, k, modified)
+                new[child] = new[child] + contrib if child in new else contrib
         states = new
     return states
 
@@ -211,20 +166,17 @@ def _check_bound(m: Hess, bound: int) -> None:
 def p_table(m: Hess, bound: int = DEFAULT_BOUND) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
     _check_bound(m, bound)
-    return {t: _to_qrat(v) for t, v in _table_raw(m, True).items() if not v[0].is_zero()}
+    return {t: v for t, v in _table_raw(m, True).items() if not v.is_zero()}
 
 
 def p_bar_table(m: Hess, bound: int = DEFAULT_BOUND) -> dict[Tableau, QRat]:
     """Same table built with the original (unmodified) weights."""
     _check_bound(m, bound)
-    return {t: _to_qrat(v) for t, v in _table_raw(m, False).items() if not v[0].is_zero()}
+    return {t: v for t, v in _table_raw(m, False).items() if not v.is_zero()}
 
 
 def probability_sum(m: Hess, modified: bool = True) -> QRat:
-    total: tuple[QPoly, tuple[int, ...]] = (QPoly(), ())
-    for value in _table_raw(m, modified).values():
-        total = _add(total, value)
-    return _to_qrat(total)
+    return sum(_table_raw(m, modified).values(), RAT_ZERO)
 
 
 def check_area_relation(m: Hess, bound: int = DEFAULT_BOUND) -> bool:
@@ -239,14 +191,23 @@ def check_area_relation(m: Hess, bound: int = DEFAULT_BOUND) -> bool:
     if set(mod) != set(orig):
         return False
     a = area(m)
-    for tab, (num_m, den_m) in mod.items():
-        num_o, den_o = orig[tab]
+    for tab, p_mod in mod.items():
         shift = sum(p * (p - 1) // 2 for p in shape_of(tab))
-        lhs = num_m.shifted(shift) * _den_poly(den_o)
-        rhs = num_o.shifted(a) * _den_poly(den_m)
-        if lhs != rhs:
+        if p_mod * ONE.shifted(shift) != orig[tab] * ONE.shifted(a):
             return False
     return True
+
+
+def _row_factorials_times(lam: Partition, tabs) -> QPoly:
+    """Product of the row q-factorials of lam times the summed probabilities.
+
+    Always a polynomial; a denominator left over would falsify that claim and
+    raises NotDivisible.
+    """
+    total = sum(tabs, RAT_ZERO)
+    for part in lam:
+        total = total * q_fact(part)
+    return total.as_poly()
 
 
 def c_poly(m: Hess, lam: Partition, k: int, bound: int = DEFAULT_BOUND) -> QPoly:
@@ -256,14 +217,14 @@ def c_poly(m: Hess, lam: Partition, k: int, bound: int = DEFAULT_BOUND) -> QPoly
     """
     _check_bound(m, bound)
     n = len(m)
-    total: tuple[QPoly, tuple[int, ...]] = (QPoly(), ())
-    for tab, value in _table_raw(m, True).items():
-        if shape_of(tab) == lam and entry_column(tab, n) == k:
-            total = _add(total, value)
-    num, den = total
-    for part in lam:
-        num = num * q_fact(part)
-    return num.exact_div(_den_poly(den))
+    return _row_factorials_times(
+        lam,
+        (
+            value
+            for tab, value in _table_raw(m, True).items()
+            if shape_of(tab) == lam and entry_column(tab, n) == k
+        ),
+    )
 
 
 def e_part(m: Hess, k: int, bound: int = DEFAULT_BOUND) -> SymFun:
@@ -294,16 +255,10 @@ def x_from_table(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
     """The chromatic quasisymmetric function from the probability table."""
     _check_bound(m, bound)
     n = len(m)
+    table = _table_raw(m, True)
     coeffs = {}
     for lam in partitions(n):
-        total: tuple[QPoly, tuple[int, ...]] = (QPoly(), ())
-        for tab, value in _table_raw(m, True).items():
-            if shape_of(tab) == lam:
-                total = _add(total, value)
-        num, den = total
-        for part in lam:
-            num = num * q_fact(part)
-        c = num.exact_div(_den_poly(den))
+        c = _row_factorials_times(lam, (v for tab, v in table.items() if shape_of(tab) == lam))
         if not c.is_zero():
             coeffs[lam] = c
     return SymFun(n, "e", coeffs)
@@ -313,16 +268,16 @@ def trace(m: Hess, bound: int = DEFAULT_BOUND) -> list[dict]:
     """Growth tree records for display: one per (parent, child) insertion."""
     _check_bound(m, bound)
     records = []
-    states: dict[Tableau, QRat] = {(): QRat(1)}
+    states: dict[Tableau, QRat] = {(): RAT_ONE}
     for step, r in enumerate(thresholds(m), start=1):
         new: dict[Tableau, QRat] = {}
         for tab, prob in states.items():
             runs = delta_runs(delta_bits(tab, r))
             for k in range(len(runs[1]) + 1):
-                weight = _to_qrat(_weight_runs(runs, k, True))
+                weight = _weight_runs(runs, k, True)
                 child = insert_at_column(tab, insertion_column(runs, k))
                 cumulative = prob * weight
-                new[child] = new.get(child, QRat(0)) + cumulative
+                new[child] = new.get(child, RAT_ZERO) + cumulative
                 records.append(
                     {
                         "step": step,

@@ -13,7 +13,7 @@ from math import comb
 from . import coloring, gfunctions, modular, orientations, ptableaux, transition
 from .hessenberg import Hess, enumerate_hess, path
 from .partitions import all_syt, partitions, vertical_strips
-from .qpoly import ONE, QPoly, QRat, q_int
+from .qpoly import ONE, RAT_ZERO, QPoly, QRat, q_int
 from .symfunc import SymFun
 
 
@@ -154,7 +154,7 @@ def suite_appendix(n_max: int) -> dict:
         for tab in all_syt(size):
             for r in range(0, size + 1):
                 runs = transition.delta_runs(transition.delta_bits(tab, r))
-                total = QRat(0)
+                total = RAT_ZERO
                 for k in range(len(runs[1]) + 1):
                     psi = transition.psi(tab, k, r)
                     phi = transition.phi(tab, k, r)

@@ -103,6 +103,14 @@ def test_cap_env_override_downward(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_cap_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CHROMSYM_NMAX", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--what", "E", "--m", "2,2"])
+    assert exc.value.code == 2
+    assert "CHROMSYM_NMAX" in capsys.readouterr().err
+
+
 def test_reduce_text_and_json(capsys):
     code, out, _ = run(capsys, "reduce", "--m", "2,3,4,5,5")
     assert code == 0

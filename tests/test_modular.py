@@ -101,6 +101,17 @@ def test_reduce_flat_merges_children():
     assert combined == reduce_to_paths(m)
 
 
+def test_reduce_result_is_read_only():
+    m = (3, 4, 4, 5, 5)
+    cert = reduce_to_paths(m)
+    expected = dict(cert)
+    with pytest.raises(TypeError):
+        cert[(5,)] = QRat(0)
+    with pytest.raises(AttributeError):
+        cert.clear()
+    assert dict(reduce_to_paths(m)) == expected and expected
+
+
 def test_reduce_terminates_to_n7():
     for n in range(1, 8):
         for m in enumerate_hess(n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chromsym.errors import NotDivisible, PoleAtPoint
-from chromsym.qpoly import ONE, Q, QPoly, QRat, poly_gcd, q_fact, q_int
+from chromsym.qpoly import ONE, Q, QPoly, QRat, cyclotomic, poly_gcd, q_fact, q_int
 
 small_fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -119,6 +119,67 @@ def test_serialization_round_trip():
     assert QRat.from_json(r.to_json()) == r
     p = QPoly((1, 0, Fraction(-2, 3)))
     assert QPoly.from_json(p.to_json()) == p
+
+
+int_or_fraction = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+numerators = st.lists(int_or_fraction, max_size=8).map(QPoly)
+q_int_lists = st.lists(st.integers(1, 12), max_size=3)
+
+
+@st.composite
+def denominators(draw):
+    """Products of q-integers, a power of q, and maybe one non-cyclotomic factor."""
+    den = ONE
+    for k in draw(q_int_lists):
+        den = den * q_int(k)
+    den = den.shifted(draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        den = den * QPoly((-2, 1))
+    return den * draw(st.sampled_from((1, -1, 3, Fraction(1, 2))))
+
+
+def euclid(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """The reference reduction: divide out the monic gcd, then make den monic."""
+    if num.is_zero():
+        return num, ONE
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (Fraction(1) / den.coeffs[-1]), den.monic()
+
+
+def fields(r: QRat) -> tuple[QPoly, QPoly]:
+    return r.num, r.den
+
+
+@given(numerators, denominators())
+def test_canonical_form_matches_euclidean_reduction(a, da):
+    assert fields(QRat(a, da)) == euclid(a, da)
+
+
+@given(numerators, denominators(), numerators, denominators())
+def test_arithmetic_matches_euclidean_reduction(a, da, b, db):
+    x, y = QRat(a, da), QRat(b, db)
+    assert fields(x + y) == euclid(a * db + b * da, da * db)
+    assert fields(x * y) == euclid(a * b, da * db)
+
+
+@given(numerators, q_int_lists)
+def test_over_q_ints_matches_euclidean_reduction(a, ks):
+    den = ONE
+    for k in ks:
+        den = den * q_int(k)
+    assert fields(QRat.over_q_ints(a, ks)) == euclid(a, den)
+
+
+def test_q_int_is_the_product_of_its_cyclotomic_factors():
+    for k in range(1, 25):
+        product = ONE
+        for d in range(2, k + 1):
+            if k % d == 0:
+                product = product * cyclotomic(d)
+        assert product == q_int(k), k
 
 
 def test_str_forms():

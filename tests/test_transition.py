@@ -1,10 +1,15 @@
 """The insertion model: weights, probability tables, and e-side refinements."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chromsym.errors import SizeLimitExceeded
+import chromsym
+from chromsym.errors import InvariantViolation, SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess, path
 from chromsym.partitions import all_syt
 from chromsym.qpoly import ONE, Q, QRat, q_int
@@ -16,6 +21,7 @@ from chromsym.transition import (
     delta_runs,
     e_part,
     e_total,
+    insert_at_column,
     insertions,
     p_bar_table,
     p_table,
@@ -180,3 +186,23 @@ def test_trace_is_a_tree_with_figure_weights():
     # every non-root node has exactly one parent record per step reached
     children = [rec["child"] for rec in records]
     assert len(children) == len(set(children))
+
+
+def test_insert_at_column_rejects_a_broken_shape():
+    with pytest.raises(InvariantViolation):
+        insert_at_column(((1, 2),), 5)
+    # the check must survive python -O, which strips assert statements
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from chromsym.errors import InvariantViolation\n"
+        "from chromsym.transition import insert_at_column\n"
+        "try:\n"
+        "    print(insert_at_column(((1, 2),), 5))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"
