@@ -3,8 +3,12 @@
 Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
-The hard enumeration cap is n = 8 and the CHROMSYM_NMAX environment variable
-can only lower it; a value that is not an integer is a usage error.
+
+Sizes follow the one policy in :mod:`chromsym.errors`: n is at most 8, and the
+``sink`` suite, which enumerates acyclic orientations, stops at 7.  The
+CHROMSYM_NMAX environment variable can only lower these limits; a value that is
+not an integer is a usage error.  A ``--n`` or ``--m`` above the limit is
+refused with exit code 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -16,20 +20,28 @@ import sys
 from fractions import Fraction
 
 from . import coloring, gfunctions, modular, ptableaux, transition, verify
+from .errors import MAX_N
 from .hessenberg import hess
 from .symfunc import SymFun
 
-HARD_CAP = 8
 
-
-def _cap(parser: argparse.ArgumentParser) -> int:
+def _check_size(args, parser: argparse.ArgumentParser) -> None:
+    """Refuse a request above the size limit as a usage error."""
+    limit = verify.MAX_N_BY_SUITE[args.suite] if args.command == "verify" else MAX_N
     env = os.environ.get("CHROMSYM_NMAX")
-    if env is None:
-        return HARD_CAP
-    try:
-        return min(HARD_CAP, int(env))
-    except ValueError:
-        parser.error(f"CHROMSYM_NMAX must be an integer, got {env!r}")
+    if env is not None:
+        try:
+            limit = min(limit, int(env))
+        except ValueError:
+            parser.error(f"CHROMSYM_NMAX must be an integer, got {env!r}")
+    if args.command == "verify":
+        if args.n > limit:
+            parser.error(f"--n {args.n} exceeds the limit {limit} of suite {args.suite}")
+    elif args.m is not None:
+        # hess() parses --m later, so that a malformed value stays a computation error
+        n = len(args.m.replace(",", " ").split())
+        if n > limit:
+            parser.error(f"n = {n} exceeds the limit {limit}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -103,11 +115,9 @@ def _cmd_compute(args, parser) -> int:
         parser.error(f"--what {args.what} requires --m")
     if args.m is not None:
         m = hess(args.m)
-        if len(m) > args.cap:
-            parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     if args.what == "X":
         engines = {
-            "coloring": lambda: coloring.x_colorings(m, bound=args.cap),
+            "coloring": lambda: coloring.x_colorings(m),
             "transition": lambda: transition.x_from_table(m),
             "cycle-sum": lambda: gfunctions.x_cycle_sum(m),
             "schur": lambda: ptableaux.x_schur(m),
@@ -131,9 +141,7 @@ def _cmd_compute(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.n > args.cap:
-        parser.error(f"--n {args.n} exceeds the cap {args.cap}")
+def _cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.n)
     if args.json:
         print(json.dumps(report))
@@ -148,10 +156,8 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_reduce(args, parser) -> int:
+def _cmd_reduce(args) -> int:
     m = hess(args.m)
-    if len(m) > args.cap:
-        parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     cert = modular.reduce_to_paths(m)
     if args.emit == "json":
         print(json.dumps(modular.certificate_json(m, cert)))
@@ -161,10 +167,8 @@ def _cmd_reduce(args, parser) -> int:
     return 0
 
 
-def _cmd_trace(args, parser) -> int:
+def _cmd_trace(args) -> int:
     m = hess(args.m)
-    if len(m) > args.cap:
-        parser.error(f"n = {len(m)} exceeds the cap {args.cap}")
     for rec in transition.trace(m):
         shape = [len(row) for row in rec["child"]]
         parent = [list(row) for row in rec["parent"]]
@@ -179,15 +183,15 @@ def _cmd_trace(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    args.cap = _cap(parser)
+    _check_size(args, parser)
     try:
         if args.command == "compute":
             return _cmd_compute(args, parser)
         if args.command == "verify":
-            return _cmd_verify(args, parser)
+            return _cmd_verify(args)
         if args.command == "reduce":
-            return _cmd_reduce(args, parser)
-        return _cmd_trace(args, parser)
+            return _cmd_reduce(args)
+        return _cmd_trace(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,13 +11,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import NotProper, SizeLimitExceeded
+from .errors import NotProper, check_size
 from .hessenberg import Hess, edges
 from .partitions import partitions
 from .qpoly import QPoly
 from .symfunc import SymFun
-
-DEFAULT_BOUND = 7
 
 
 def is_proper(m: Hess, colors: tuple[int, ...]) -> bool:
@@ -66,7 +64,7 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def x_colorings(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
+def x_colorings(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function, in the monomial basis.
 
     The coefficient of m_lam is the inv-generating polynomial of proper
@@ -74,8 +72,7 @@ def x_colorings(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
     symmetry makes the choice of representative monomial irrelevant.
     """
     n = len(m)
-    if n > bound:
-        raise SizeLimitExceeded(f"n = {n} exceeds coloring bound {bound}")
+    check_size(n)
     coeffs = {}
     for lam in partitions(n):
         poly = content_coefficient(m, {i + 1: lam[i] for i in range(len(lam))})

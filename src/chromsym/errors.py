@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size-limit policy.
+
+The transition, P-tableau, coloring and reduction engines refuse a Hessenberg
+function longer than :data:`MAX_N`; the acyclic-orientation enumeration,
+which tries all 2^|E| edge masks, stops at :data:`MAX_N_ORIENTATIONS`.  Each
+checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
+"""
+
+MAX_N = 8
+
+# Summed over every m of length n there are 7.0e6 orientation masks at n = 7
+# and 9.2e8 at n = 8, and the sink suite tries each of them.
+MAX_N_ORIENTATIONS = 7
 
 
 class NotDivisible(ArithmeticError):
@@ -26,7 +38,13 @@ class DegreeMismatch(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """Raised when an enumeration is requested above its configured bound."""
+    """Raised when an engine is asked for n above its limit in this module."""
+
+
+def check_size(n: int, limit: int = MAX_N) -> None:
+    """Refuse an input of length n above the limit."""
+    if n > limit:
+        raise SizeLimitExceeded(f"n = {n} exceeds the limit {limit}")
 
 
 class NotProper(ValueError):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import DegreeMismatch, InvariantViolation, NotFlat, NotNonFlat, SizeLimitExceeded
+from .errors import DegreeMismatch, InvariantViolation, NotFlat, NotNonFlat, check_size
 from .hessenberg import (
     Flat,
     Hess,
@@ -34,8 +34,6 @@ from .symfunc import SymFun
 
 Certificate = Mapping[tuple[int, ...], QRat]
 Triple = tuple[Hess, Hess, Hess, int]
-
-DEFAULT_BOUND = 8
 
 _ONE_PLUS_Q = q_int(2)
 
@@ -153,7 +151,7 @@ def _merge(target: dict, source: Certificate, factor: QRat) -> None:
 
 
 @lru_cache(maxsize=None)
-def reduce_to_paths(m: Hess, bound: int = DEFAULT_BOUND) -> Certificate:
+def reduce_to_paths(m: Hess) -> Certificate:
     """Certificate expressing f(m) through values on unions of paths.
 
     Sound for every f satisfying the restricted modular law; terminates
@@ -161,22 +159,21 @@ def reduce_to_paths(m: Hess, bound: int = DEFAULT_BOUND) -> Certificate:
     Dyck path strictly to the right.  The result is cached, so it is a
     read-only view.
     """
-    if len(m) > bound:
-        raise SizeLimitExceeded(f"n = {len(m)} exceeds bound {bound}")
+    check_size(len(m))
     shape = classify(m)
     if isinstance(shape, UnionOfPaths):
         return MappingProxyType({shape.parts: RAT_ONE})
     out: dict[tuple[int, ...], QRat] = {}
     if isinstance(shape, Flat):
         m0, m1 = split_flat(m)
-        _merge(out, reduce_to_paths(m1, bound), QRat(_ONE_PLUS_Q))
-        _merge(out, reduce_to_paths(m0, bound), QRat(-Q))
+        _merge(out, reduce_to_paths(m1), QRat(_ONE_PLUS_Q))
+        _merge(out, reduce_to_paths(m0), QRat(-Q))
     else:
         m0, m0_1, m_1 = split_nonflat(m)
         ratio = QRat(Q, _ONE_PLUS_Q)
-        _merge(out, reduce_to_paths(m_1, bound), QRat(1))
-        _merge(out, reduce_to_paths(m0, bound), ratio)
-        _merge(out, reduce_to_paths(m0_1, bound), -ratio)
+        _merge(out, reduce_to_paths(m_1), QRat(1))
+        _merge(out, reduce_to_paths(m0), ratio)
+        _merge(out, reduce_to_paths(m0_1), -ratio)
     return MappingProxyType(out)
 
 

@@ -9,7 +9,7 @@ a failed check raises :class:`InvariantViolation`.
 
 from __future__ import annotations
 
-from .errors import InvalidFilling, InvariantViolation, SizeLimitExceeded
+from .errors import MAX_N_ORIENTATIONS, InvalidFilling, InvariantViolation, check_size
 from .hessenberg import Hess, edges, poset_less
 from .partitions import Partition
 from .ptableaux import Filling, entry_rows, enumerate_pt
@@ -17,8 +17,6 @@ from .qpoly import RAT_ZERO, QPoly, QRat
 from .symfunc import SymFun
 
 Orientation = frozenset[tuple[int, int]]
-
-DEFAULT_BOUND = 6
 
 
 def _is_acyclic(n: int, directed: list[tuple[int, int]]) -> bool:
@@ -42,6 +40,7 @@ def _is_acyclic(n: int, directed: list[tuple[int, int]]) -> bool:
 def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[Orientation, ...]:
     """All acyclic orientations; optionally only those where vertex 1 is a sink."""
     n = len(m)
+    check_size(n, MAX_N_ORIENTATIONS)
     edge_list = edges(m)
     out = []
     for mask in range(1 << len(edge_list)):
@@ -118,10 +117,8 @@ def length_distribution(f: SymFun) -> dict[int, QRat]:
     return {ell: c for ell, c in out.items() if not c.is_zero()}
 
 
-def sink_distribution(m: Hess, source: str = "X", bound: int = DEFAULT_BOUND) -> dict[int, QRat]:
+def sink_distribution(m: Hess, source: str = "X") -> dict[int, QRat]:
     """Length-graded coefficient sums of X (coloring side) or S (corner side)."""
-    if len(m) > bound:
-        raise SizeLimitExceeded(f"n = {len(m)} exceeds bound {bound}")
     if source == "X":
         from .coloring import x_colorings
 
@@ -132,11 +129,6 @@ def sink_distribution(m: Hess, source: str = "X", bound: int = DEFAULT_BOUND) ->
         f = s_fun(m)
     else:
         raise ValueError("source must be 'X' or 'S'")
-    return length_distribution(f)
-
-
-def zeta(f: SymFun) -> dict[int, QRat]:
-    """Algebra map sending every e_i to t; returns the t-coefficients."""
     return length_distribution(f)
 
 

@@ -18,15 +18,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, SizeLimitExceeded
+from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, check_size
 from .hessenberg import Hess, edges, path
 from .partitions import Partition, partitions, shape_of
 from .qpoly import QPoly
 from .symfunc import SymFun
 
 Filling = tuple[tuple[int, ...], ...]
-
-DEFAULT_BOUND = 8
 
 
 def entry_rows(rows: Filling) -> dict[int, int]:
@@ -162,11 +160,10 @@ def pt_poly(
 
 
 @lru_cache(maxsize=None)
-def s_fun(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
+def s_fun(m: Hess) -> SymFun:
     """Schur generating function of primed P-tableaux (entry 1 in the corner)."""
     n = len(m)
-    if n > bound:
-        raise SizeLimitExceeded(f"n = {n} exceeds bound {bound}")
+    check_size(n)
     coeffs = {}
     for lam in partitions(n):
         poly = pt_poly(m, lam, corner1=True)
@@ -176,11 +173,10 @@ def s_fun(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
 
 
 @lru_cache(maxsize=None)
-def x_schur(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
+def x_schur(m: Hess) -> SymFun:
     """Schur expansion of the chromatic quasisymmetric function via P-tableaux."""
     n = len(m)
-    if n > bound:
-        raise SizeLimitExceeded(f"n = {n} exceeds bound {bound}")
+    check_size(n)
     coeffs = {}
     for lam in partitions(n):
         poly = pt_poly(m, lam)

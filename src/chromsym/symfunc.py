@@ -1,22 +1,25 @@
 """Homogeneous symmetric functions of fixed degree over Q(q).
 
 A :class:`SymFun` is a sparse map from partitions of its degree to ``QRat``
-coefficients, tagged with a basis ('e', 'h', 'm' or 's').  The elementary
+coefficients, tagged with a basis ('e', 'm' or 's').  The elementary
 basis is the internal canonical one: products are multiset unions there, and
 the Schur and monomial views are derived through Kostka matrices, avoiding
 Littlewood-Richardson entirely.  Degree-heterogeneous sums are rejected.
+A SymFun is immutable, its ``coeffs`` a read-only view, so the engines can
+hand one cached value to every caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
 from .qpoly import RAT_ONE, RAT_ZERO, QPoly, QRat
 
-BASES = ("e", "h", "m", "s")
+BASES = ("e", "m", "s")
 
 
 def _coerce(c) -> QRat:
@@ -45,7 +48,7 @@ class SymFun:
                 clean[lam] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFun is immutable")
@@ -82,14 +85,6 @@ class SymFun:
     def to_e(self) -> "SymFun":
         if self.basis == "e":
             return self
-        if self.basis == "h":
-            out = SymFun.zero(self.degree)
-            for lam, c in self.coeffs.items():
-                prod = SymFun.one()
-                for part in lam:
-                    prod = prod * h_to_e(part)
-                out = out + c * prod
-            return out
         if self.basis == "s":
             return _apply_matrix(self, _s_to_e_matrix(self.degree), "e")
         return _apply_matrix(self, _m_to_e_matrix(self.degree), "e")
@@ -262,18 +257,6 @@ def _m_to_e_matrix(n: int):
         for i in range(size)
     ]
     return basis_list, _invert(e2m)
-
-
-def to_schur(f: SymFun) -> SymFun:
-    return f.to_s()
-
-
-def schur_to_e(f: SymFun) -> SymFun:
-    return f.to_e()
-
-
-def to_monomial(f: SymFun) -> SymFun:
-    return f.to_m()
 
 
 @lru_cache(maxsize=None)

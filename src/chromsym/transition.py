@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantViolation, SizeLimitExceeded
+from .errors import InvariantViolation, check_size
 from .hessenberg import Hess, area
 from .partitions import (
     Partition,
@@ -30,8 +30,6 @@ from .partitions import (
 )
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_fact, q_int
 from .symfunc import SymFun
-
-DEFAULT_BOUND = 8
 
 Runs = tuple[int, tuple[tuple[int, int], ...], int]
 
@@ -143,35 +141,47 @@ def thresholds(m: Hess) -> list[int]:
     return [n - m[n - i] for i in range(1, n + 1)]
 
 
-@lru_cache(maxsize=None)
-def _table_raw(m: Hess, modified: bool) -> dict[Tableau, QRat]:
+def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Tableau, QRat]:
+    """Run the growth process for m; optionally record every insertion."""
+    check_size(len(m))
     states: dict[Tableau, QRat] = {(): RAT_ONE}
-    for r in thresholds(m):
+    for step, r in enumerate(thresholds(m), start=1):
         new: dict[Tableau, QRat] = {}
         for tab, value in states.items():
             runs = delta_runs(delta_bits(tab, r))
             for k in range(len(runs[1]) + 1):
+                weight = _weight_runs(runs, k, modified)
                 child = insert_at_column(tab, insertion_column(runs, k))
-                contrib = value * _weight_runs(runs, k, modified)
+                contrib = value * weight
                 new[child] = new[child] + contrib if child in new else contrib
+                if records is not None:
+                    records.append(
+                        {
+                            "step": step,
+                            "r": r,
+                            "k": k,
+                            "parent": tab,
+                            "child": child,
+                            "weight": weight,
+                            "p": contrib,
+                        }
+                    )
         states = new
     return states
 
 
-def _check_bound(m: Hess, bound: int) -> None:
-    if len(m) > bound:
-        raise SizeLimitExceeded(f"n = {len(m)} exceeds bound {bound}")
+@lru_cache(maxsize=None)
+def _table_raw(m: Hess, modified: bool) -> dict[Tableau, QRat]:
+    return _grow(m, modified)
 
 
-def p_table(m: Hess, bound: int = DEFAULT_BOUND) -> dict[Tableau, QRat]:
+def p_table(m: Hess) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
-    _check_bound(m, bound)
     return {t: v for t, v in _table_raw(m, True).items() if not v.is_zero()}
 
 
-def p_bar_table(m: Hess, bound: int = DEFAULT_BOUND) -> dict[Tableau, QRat]:
+def p_bar_table(m: Hess) -> dict[Tableau, QRat]:
     """Same table built with the original (unmodified) weights."""
-    _check_bound(m, bound)
     return {t: v for t, v in _table_raw(m, False).items() if not v.is_zero()}
 
 
@@ -179,13 +189,12 @@ def probability_sum(m: Hess, modified: bool = True) -> QRat:
     return sum(_table_raw(m, modified).values(), RAT_ZERO)
 
 
-def check_area_relation(m: Hess, bound: int = DEFAULT_BOUND) -> bool:
+def check_area_relation(m: Hess) -> bool:
     """Entrywise relation between the two tables through a fixed power of q.
 
     The modified probability equals the original one multiplied by q to the
     power area(m) - sum of binomial(lam_j, 2) over the rows of the shape.
     """
-    _check_bound(m, bound)
     mod = _table_raw(m, True)
     orig = _table_raw(m, False)
     if set(mod) != set(orig):
@@ -210,12 +219,11 @@ def _row_factorials_times(lam: Partition, tabs) -> QPoly:
     return total.as_poly()
 
 
-def c_poly(m: Hess, lam: Partition, k: int, bound: int = DEFAULT_BOUND) -> QPoly:
+def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:
     """Product of row q-factorials times the probability mass of the tableaux
     of shape lam whose largest entry sits in column k.  Always a polynomial;
     a failed division here would falsify that claim and raises NotDivisible.
     """
-    _check_bound(m, bound)
     n = len(m)
     return _row_factorials_times(
         lam,
@@ -227,33 +235,32 @@ def c_poly(m: Hess, lam: Partition, k: int, bound: int = DEFAULT_BOUND) -> QPoly
     )
 
 
-def e_part(m: Hess, k: int, bound: int = DEFAULT_BOUND) -> SymFun:
+def e_part(m: Hess, k: int) -> SymFun:
     """Degree-n refinement indexed by the column k of the largest entry."""
     n = len(m)
     coeffs = {}
     for lam in partitions(n):
         if k > lam[0]:
             continue
-        c = c_poly(m, lam, k, bound)
+        c = c_poly(m, lam, k)
         if not c.is_zero():
             coeffs[lam] = c.exact_div(q_int(k))
     return SymFun(n, "e", coeffs)
 
 
 @lru_cache(maxsize=None)
-def e_total(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
+def e_total(m: Hess) -> SymFun:
     """Sum of the refinements over all columns k."""
     n = len(m)
     out = SymFun.zero(n)
     for k in range(1, n + 1):
-        out = out + e_part(m, k, bound)
+        out = out + e_part(m, k)
     return out
 
 
 @lru_cache(maxsize=None)
-def x_from_table(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
+def x_from_table(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function from the probability table."""
-    _check_bound(m, bound)
     n = len(m)
     table = _table_raw(m, True)
     coeffs = {}
@@ -264,30 +271,8 @@ def x_from_table(m: Hess, bound: int = DEFAULT_BOUND) -> SymFun:
     return SymFun(n, "e", coeffs)
 
 
-def trace(m: Hess, bound: int = DEFAULT_BOUND) -> list[dict]:
+def trace(m: Hess) -> list[dict]:
     """Growth tree records for display: one per (parent, child) insertion."""
-    _check_bound(m, bound)
-    records = []
-    states: dict[Tableau, QRat] = {(): RAT_ONE}
-    for step, r in enumerate(thresholds(m), start=1):
-        new: dict[Tableau, QRat] = {}
-        for tab, prob in states.items():
-            runs = delta_runs(delta_bits(tab, r))
-            for k in range(len(runs[1]) + 1):
-                weight = _weight_runs(runs, k, True)
-                child = insert_at_column(tab, insertion_column(runs, k))
-                cumulative = prob * weight
-                new[child] = new.get(child, RAT_ZERO) + cumulative
-                records.append(
-                    {
-                        "step": step,
-                        "r": r,
-                        "k": k,
-                        "parent": tab,
-                        "child": child,
-                        "weight": weight,
-                        "p": cumulative,
-                    }
-                )
-        states = new
+    records: list[dict] = []
+    _grow(m, True, records)
     return records

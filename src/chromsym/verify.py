@@ -3,7 +3,8 @@
 Each suite checks an identity family over every Hessenberg function (or
 triple, or tableau) up to the requested length and reports structured
 pass/fail records with witnesses.  Everything is exact: a check passes only
-by structural equality in Q(q).
+by structural equality in Q(q).  :data:`MAX_N_BY_SUITE` gives the largest n
+each suite accepts, from the limits in :mod:`chromsym.errors`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from math import comb
 
 from . import coloring, gfunctions, modular, orientations, ptableaux, transition
+from .errors import MAX_N, MAX_N_ORIENTATIONS
 from .hessenberg import Hess, enumerate_hess, path
 from .partitions import all_syt, partitions, vertical_strips
 from .qpoly import ONE, RAT_ZERO, QPoly, QRat, q_int
@@ -122,12 +124,12 @@ def suite_sink(n_max: int) -> dict:
     bad_x = bad_s = bad_binom = None
     for m in _all_hess(n_max):
         if bad_x is None:
-            left = orientations.sink_distribution(m, "X", bound=max(n_max, 6))
+            left = orientations.sink_distribution(m, "X")
             right = orientations.ao_sink_poly(m, False)
             if {k: QRat(v) for k, v in right.items()} != left:
                 bad_x = m
         if bad_s is None:
-            left = orientations.sink_distribution(m, "S", bound=max(n_max, 6))
+            left = orientations.sink_distribution(m, "S")
             right = orientations.ao_sink_poly(m, True)
             if {k: QRat(v) for k, v in right.items()} != left:
                 bad_s = m
@@ -197,9 +199,8 @@ def suite_paths(n_max: int) -> dict:
             break
     checks.append(_check("closed forms match the probability model", bad_closed is None, bad_closed))
 
-    cap = min(n_max, 7)
     bad_rec = None
-    for n in range(1, cap + 1):
+    for n in range(1, n_max + 1):
         for lam in partitions(n):
             lhs = ptableaux.corner_path_poly(lam)
             rhs = QPoly((1,)) if set(lam) == {1} else QPoly()
@@ -214,7 +215,7 @@ def suite_paths(n_max: int) -> dict:
     checks.append(_check("vertical-strip recursion", bad_rec is None, bad_rec))
 
     bad_peel = None
-    for n in range(1, cap + 1):
+    for n in range(1, n_max + 1):
         m = path(n)
         for lam in partitions(n):
             for rows in ptableaux.enumerate_pt(m, lam, corner1=True):
@@ -242,6 +243,8 @@ SUITES = {
     "appendix": suite_appendix,
     "paths": suite_paths,
 }
+
+MAX_N_BY_SUITE = {**dict.fromkeys(SUITES, MAX_N), "sink": MAX_N_ORIENTATIONS}
 
 
 def run_suite(name: str, n_max: int) -> dict:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chromsym import verify
 from chromsym.cli import main
 
 
@@ -101,6 +102,44 @@ def test_cap_env_override_downward(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "egs", "--n", "9"])
     assert exc.value.code == 2
+
+
+class SuiteStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    def fail(name, n_max):
+        raise SuiteStarted(name, n_max)
+
+    monkeypatch.setattr(verify, "run_suite", fail)
+
+
+def test_sink_limit_is_a_usage_error(no_suite_runs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "sink", "--n", "8"])
+    assert exc.value.code == 2
+
+
+def test_every_other_suite_accepts_the_shared_limit(no_suite_runs):
+    for suite in sorted(set(verify.SUITES) - {"sink"}):
+        with pytest.raises(SuiteStarted):
+            main(["verify", "--suite", suite, "--n", "8"])
+    with pytest.raises(SuiteStarted):
+        main(["verify", "--suite", "sink", "--n", "7"])
+
+
+def test_cap_env_lowers_every_limit(no_suite_runs, monkeypatch):
+    monkeypatch.setenv("CHROMSYM_NMAX", "3")
+    for suite in verify.SUITES:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--n", "4"])
+        assert exc.value.code == 2
+    for argv in (["reduce", "--m", "2,3,4,4"], ["trace", "transition", "--m", "2,3,4,4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cap_env_must_be_an_integer(capsys, monkeypatch):

@@ -50,7 +50,7 @@ def test_symmetry_of_representatives():
 
 def test_size_limit():
     with pytest.raises(SizeLimitExceeded):
-        x_colorings(path(8))
+        x_colorings(path(9))
 
 
 def test_complete_graph():

@@ -14,7 +14,6 @@ from chromsym.orientations import (
     sinks,
     smallest_sink,
     theta_of,
-    zeta,
 )
 from chromsym.partitions import partitions
 from chromsym.ptableaux import enumerate_pt, inv_filling
@@ -60,8 +59,8 @@ def test_asc_equals_inv_everywhere():
 
 
 def test_zeta_values():
-    assert zeta(SymFun.e_term((5,))) == {1: QRat(1)}
-    assert zeta(SymFun.s_term((2,))) == {2: QRat(1), 1: QRat(-1)}
+    assert length_distribution(SymFun.e_term((5,))) == {1: QRat(1)}
+    assert length_distribution(SymFun.s_term((2,))) == {2: QRat(1), 1: QRat(-1)}
     for k in range(1, 5):
         for n in range(k, 7):
             hook = (k,) + (1,) * (n - k)
@@ -69,7 +68,7 @@ def test_zeta_values():
                 i: QRat((-1) ** (k - i) * comb(k - 1, i - 1))
                 for i in range(1, k + 1)
             }
-            assert zeta(SymFun.s_term(hook)) == want
+            assert length_distribution(SymFun.s_term(hook)) == want
 
 
 def test_length_vs_hook_alternating_sum():

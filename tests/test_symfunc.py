@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from chromsym.coloring import x_colorings
 from chromsym.errors import DegreeMismatch
 from chromsym.partitions import partitions
 from chromsym.qpoly import Q, QPoly, QRat
-from chromsym.symfunc import SymFun, h_to_e, omega, schur_to_e, to_monomial, to_schur
+from chromsym.ptableaux import s_fun, x_schur
+from chromsym.symfunc import SymFun, h_to_e, omega
+from chromsym.transition import e_total, x_from_table
 
 
 def random_symfun(degree, rng, basis="e"):
@@ -20,16 +23,16 @@ def random_symfun(degree, rng, basis="e"):
 
 
 def test_to_schur_examples():
-    assert to_schur(SymFun.e_term((2,))) == SymFun.s_term((1, 1))
-    assert to_schur(SymFun.e_term((1, 1))) == SymFun.s_term((2,)) + SymFun.s_term((1, 1))
-    assert to_schur(SymFun.zero(3)).is_zero()
+    assert SymFun.e_term((2,)).to_s() == SymFun.s_term((1, 1))
+    assert SymFun.e_term((1, 1)).to_s() == SymFun.s_term((2,)) + SymFun.s_term((1, 1))
+    assert SymFun.zero(3).to_s().is_zero()
 
 
 def test_schur_to_e_examples():
-    assert schur_to_e(SymFun.s_term((1, 1))) == SymFun.e_term((2,))
-    assert schur_to_e(SymFun.s_term((2,))) == SymFun.e_term((1, 1)) - SymFun.e_term((2,))
+    assert SymFun.s_term((1, 1)).to_e() == SymFun.e_term((2,))
+    assert SymFun.s_term((2,)).to_e() == SymFun.e_term((1, 1)) - SymFun.e_term((2,))
     for n in range(1, 6):
-        assert schur_to_e(SymFun.s_term((1,) * n)) == SymFun.e_term((n,))
+        assert SymFun.s_term((1,) * n).to_e() == SymFun.e_term((n,))
 
 
 def test_h_to_e_examples():
@@ -60,7 +63,7 @@ def test_mul_examples():
     f = SymFun.e_term((2, 1), Q)
     assert f * SymFun.one() == f
     e1 = SymFun.e_term((1,))
-    assert to_schur(e1 * e1) == SymFun.s_term((2,)) + SymFun.s_term((1, 1))
+    assert (e1 * e1).to_s() == SymFun.s_term((2,)) + SymFun.s_term((1, 1))
 
 
 def test_mul_commutative_associative():
@@ -74,18 +77,18 @@ def test_mul_commutative_associative():
 
 
 def test_to_monomial_examples():
-    assert to_monomial(SymFun.e_term((2,))) == SymFun.term("m", (1, 1))
-    assert to_monomial(SymFun.s_term((2,))) == SymFun.term("m", (2,)) + SymFun.term("m", (1, 1))
-    assert to_monomial(SymFun.e_term((1,))) == SymFun.term("m", (1,))
+    assert SymFun.e_term((2,)).to_m() == SymFun.term("m", (1, 1))
+    assert SymFun.s_term((2,)).to_m() == SymFun.term("m", (2,)) + SymFun.term("m", (1, 1))
+    assert SymFun.e_term((1,)).to_m() == SymFun.term("m", (1,))
 
 
 def test_round_trips_all_basis_elements():
     for n in range(0, 7):
         for lam in partitions(n):
             e = SymFun.e_term(lam)
-            assert schur_to_e(to_schur(e)) == e
+            assert e.to_s().to_e() == e
             s = SymFun.s_term(lam)
-            assert to_schur(schur_to_e(s)) == s
+            assert s.to_e().to_s() == s
             m = SymFun.term("m", lam)
             assert m.to_e().to_m() == m
 
@@ -109,3 +112,14 @@ def test_json_shape():
     assert data["degree"] == 3 and data["basis"] == "e"
     assert data["coeffs"][0]["partition"] == [3]
     assert data["coeffs"][1] == {"partition": [2, 1], "num": ["0", "1"], "den": ["1"]}
+
+
+def test_cached_symfuns_are_read_only():
+    m = (2, 3, 3)
+    for engine in (e_total, x_from_table, x_colorings, s_fun, x_schur):
+        want = dict(engine(m).coeffs)
+        with pytest.raises(AttributeError):
+            engine(m).coeffs.clear()
+        with pytest.raises(TypeError):
+            engine(m).coeffs[(3,)] = QRat(0)
+        assert want and engine(m).coeffs == want, engine.__name__

@@ -188,6 +188,16 @@ def test_trace_is_a_tree_with_figure_weights():
     assert len(children) == len(set(children))
 
 
+def test_trace_last_step_sums_to_the_probability_table():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            sums = {}
+            for rec in trace(m):
+                if rec["step"] == n:
+                    sums[rec["child"]] = sums.get(rec["child"], QRat(0)) + rec["p"]
+            assert {t: v for t, v in sums.items() if not v.is_zero()} == p_table(m), m
+
+
 def test_insert_at_column_rejects_a_broken_shape():
     with pytest.raises(InvariantViolation):
         insert_at_column(((1, 2),), 5)
