@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the one size-limit policy.
 
-The transition, P-tableau, coloring and reduction engines refuse a Hessenberg
-function longer than :data:`MAX_N`; the acyclic-orientation enumeration,
-which tries all 2^|E| edge masks, stops at :data:`MAX_N_ORIENTATIONS`.  Each
-checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
+The transition, cycle-sum, P-tableau, coloring and reduction engines refuse a
+Hessenberg function longer than :data:`MAX_N`; the acyclic-orientation
+enumeration, which tries all 2^|E| edge masks, stops at
+:data:`MAX_N_ORIENTATIONS`.  Each checks once, at its entry point, and raises
+:class:`SizeLimitExceeded`.
 """
 
 MAX_N = 8

@@ -6,6 +6,11 @@ i), organized by cycle type.  Cycles are written with their smallest element
 first and ordered by increasing minima, so the first cycle is the one
 containing 1; the weight of sigma counts graph edges (i, j) whose larger end
 precedes the smaller in the resulting word.
+
+The graded family is computed in one pass per m: one loop over the cycle-type
+statistics of m builds ``gfun(m, k)`` for every k in [0, n), and ``g_cap``
+and ``g_total`` read that result.  The signed products h_d * omega(rho_mu)
+those loops add up do not depend on m and are cached by (d, mu).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from .errors import check_size
 from .hessenberg import Hess, edges
 from .partitions import compositions
 from .qpoly import ONE, QPoly, q_int
@@ -76,11 +82,15 @@ def cycle_sizes(sigma: Perm) -> tuple[int, ...]:
 
 def wt(m: Hess, sigma: Perm) -> int:
     """Edges (i, j), i < j <= m(i), with j before i in the cycle word."""
+    return _wt(edges(m), sigma)
+
+
+def _wt(edge_list: tuple[tuple[int, int], ...], sigma: Perm) -> int:
     word = cycle_word(sigma)
-    pos = [0] * (len(m) + 1)
+    pos = [0] * (len(sigma) + 1)
     for idx, v in enumerate(word):
         pos[v] = idx
-    return sum(1 for i, j in edges(m) if pos[j] < pos[i])
+    return sum(1 for i, j in edge_list if pos[j] < pos[i])
 
 
 @lru_cache(maxsize=None)
@@ -112,14 +122,34 @@ def _omega_rho_product(parts: tuple[int, ...]) -> SymFun:
 @lru_cache(maxsize=None)
 def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     """Aggregate q^wt by (size of the cycle containing 1, sorted other sizes)."""
+    check_size(len(m))
     stats: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    max_wt = len(edges(m))
+    edge_list = edges(m)
     for sigma in bounded_permutations(m):
         sizes = cycle_sizes(sigma)
         key = (sizes[0], tuple(sorted(sizes[1:], reverse=True)))
-        bucket = stats.setdefault(key, [0] * (max_wt + 1))
-        bucket[wt(m, sigma)] += 1
+        bucket = stats.setdefault(key, [0] * (len(edge_list) + 1))
+        bucket[_wt(edge_list, sigma)] += 1
     return {key: QPoly(counts) for key, counts in stats.items()}
+
+
+@lru_cache(maxsize=None)
+def _term(d: int, rest: tuple[int, ...]) -> SymFun:
+    """(-1)^d h_d times the product of omega(rho_p) over p in rest."""
+    term = h_to_e(d) * _omega_rho_product(rest)
+    return -term if d % 2 else term
+
+
+@lru_cache(maxsize=None)
+def _gfuns(m: Hess) -> tuple[SymFun, ...]:
+    """gfun(m, k) for every k in [0, n), from one loop over the cycle statistics."""
+    n = len(m)
+    out = [SymFun.zero(k) for k in range(n)]
+    for (t1, rest), poly in _cycle_stats(m).items():
+        for d in range(t1):
+            k = n - t1 + d
+            out[k] = out[k] + poly * _term(d, rest)
+    return tuple(out)
 
 
 def gfun(m: Hess, k: int) -> SymFun:
@@ -131,15 +161,7 @@ def gfun(m: Hess, k: int) -> SymFun:
     n = len(m)
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n})")
-    out = SymFun.zero(k)
-    for (t1, rest), poly in _cycle_stats(m).items():
-        d = t1 - (n - k)
-        if d < 0:
-            continue
-        sign = 1 if d % 2 == 0 else -1
-        term = h_to_e(d) * _omega_rho_product(rest)
-        out = out + (sign * poly) * term
-    return out
+    return _gfuns(m)[k]
 
 
 def g_cap(m: Hess, k: int) -> SymFun:

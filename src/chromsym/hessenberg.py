@@ -18,19 +18,27 @@ from .errors import InvariantViolation
 Hess = tuple[int, ...]
 
 
+def hess_error(m: tuple[int, ...]) -> str | None:
+    """Why m is not a Hessenberg function, or None when it is one."""
+    n = len(m)
+    if n == 0:
+        return "a Hessenberg function has positive length"
+    for i, v in enumerate(m, start=1):
+        if not i <= v <= n:
+            return f"value {v} at position {i} violates {i} <= m({i}) <= {n}"
+    if any(m[i] > m[i + 1] for i in range(n - 1)):
+        return f"{m} is not weakly increasing"
+    return None
+
+
 def hess(values) -> Hess:
     """Validate and normalize a Hessenberg function."""
     if isinstance(values, str):
         values = [int(x) for x in values.replace(",", " ").split()]
     m = tuple(int(v) for v in values)
-    n = len(m)
-    if n == 0:
-        raise ValueError("a Hessenberg function has positive length")
-    for i, v in enumerate(m, start=1):
-        if not i <= v <= n:
-            raise ValueError(f"value {v} at position {i} violates {i} <= m({i}) <= {n}")
-    if any(m[i] > m[i + 1] for i in range(n - 1)):
-        raise ValueError(f"{m} is not weakly increasing")
+    error = hess_error(m)
+    if error is not None:
+        raise ValueError(error)
     return m
 
 

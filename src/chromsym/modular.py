@@ -27,6 +27,7 @@ from .hessenberg import (
     UnionOfPaths,
     classify,
     enumerate_hess,
+    hess_error,
     union_of_paths,
 )
 from .qpoly import RAT_ONE, RAT_ZERO, Q, QRat, q_int
@@ -53,7 +54,7 @@ def is_type1(m: Hess, mp: Hess, mpp: Hess, i: int) -> bool:
         return False
     if v + 1 > n or mp[v - 1] != mp[v]:
         return False
-    return all(_valid(x) for x in (m, mp, mpp))
+    return all(hess_error(x) is None for x in (m, mp, mpp))
 
 
 def is_type2(m: Hess, mp: Hess, mpp: Hess, i: int, restricted: bool = False) -> bool:
@@ -77,14 +78,7 @@ def is_type2(m: Hess, mp: Hess, mpp: Hess, i: int, restricted: bool = False) -> 
         return False
     if i in mp:
         return False
-    return all(_valid(x) for x in (m, mp, mpp))
-
-
-def _valid(m: Hess) -> bool:
-    n = len(m)
-    return all(i <= v <= n for i, v in enumerate(m, start=1)) and all(
-        m[t] <= m[t + 1] for t in range(n - 1)
-    )
+    return all(hess_error(x) is None for x in (m, mp, mpp))
 
 
 def enumerate_triples(n: int, kind: str) -> tuple[Triple, ...]:

@@ -13,6 +13,11 @@ with :meth:`QRat.over_q_ints`, so every value of the dynamic program keeps its
 denominator as cyclotomic exponents and no polynomial gcd is ever taken.  The
 coefficients extracted at the end must be polynomials; ``as_poly`` raises
 :class:`NotDivisible` when one is not, which doubles as a polynomiality check.
+
+The graded pieces are computed in one pass per m: the probability table is
+grouped once by (shape, column of the largest entry), and ``c_poly``,
+``e_part`` (every column k), ``e_total`` and ``x_from_table`` all read that
+grouping.
 """
 
 from __future__ import annotations
@@ -21,13 +26,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, check_size
 from .hessenberg import Hess, area
-from .partitions import (
-    Partition,
-    Tableau,
-    entry_column,
-    partitions,
-    shape_of,
-)
+from .partitions import Partition, Tableau, entry_column, shape_of
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_fact, q_int
 from .symfunc import SymFun
 
@@ -219,33 +218,30 @@ def _row_factorials_times(lam: Partition, tabs) -> QPoly:
     return total.as_poly()
 
 
+@lru_cache(maxsize=None)
+def _c_polys(m: Hess) -> dict[tuple[Partition, int], QPoly]:
+    """Every c_poly of m, keyed by (shape, column of n), from one pass over
+    the probability table."""
+    n = len(m)
+    groups: dict[tuple[Partition, int], list[QRat]] = {}
+    for tab, value in _table_raw(m, True).items():
+        groups.setdefault((shape_of(tab), entry_column(tab, n)), []).append(value)
+    return {key: _row_factorials_times(key[0], values) for key, values in groups.items()}
+
+
 def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:
     """Product of row q-factorials times the probability mass of the tableaux
     of shape lam whose largest entry sits in column k.  Always a polynomial;
     a failed division here would falsify that claim and raises NotDivisible.
     """
-    n = len(m)
-    return _row_factorials_times(
-        lam,
-        (
-            value
-            for tab, value in _table_raw(m, True).items()
-            if shape_of(tab) == lam and entry_column(tab, n) == k
-        ),
-    )
+    return _c_polys(m).get((lam, k), QPoly())
 
 
 def e_part(m: Hess, k: int) -> SymFun:
-    """Degree-n refinement indexed by the column k of the largest entry."""
-    n = len(m)
-    coeffs = {}
-    for lam in partitions(n):
-        if k > lam[0]:
-            continue
-        c = c_poly(m, lam, k)
-        if not c.is_zero():
-            coeffs[lam] = c.exact_div(q_int(k))
-    return SymFun(n, "e", coeffs)
+    """Degree-n refinement indexed by the column k of the largest entry;
+    zero for k outside [1, n]."""
+    coeffs = {lam: c.exact_div(q_int(k)) for (lam, col), c in _c_polys(m).items() if col == k}
+    return SymFun(len(m), "e", coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -261,14 +257,10 @@ def e_total(m: Hess) -> SymFun:
 @lru_cache(maxsize=None)
 def x_from_table(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function from the probability table."""
-    n = len(m)
-    table = _table_raw(m, True)
-    coeffs = {}
-    for lam in partitions(n):
-        c = _row_factorials_times(lam, (v for tab, v in table.items() if shape_of(tab) == lam))
-        if not c.is_zero():
-            coeffs[lam] = c
-    return SymFun(n, "e", coeffs)
+    coeffs: dict[Partition, QPoly] = {}
+    for (lam, _), c in _c_polys(m).items():
+        coeffs[lam] = coeffs[lam] + c if lam in coeffs else c
+    return SymFun(len(m), "e", coeffs)
 
 
 def trace(m: Hess) -> list[dict]:

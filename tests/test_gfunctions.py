@@ -3,12 +3,14 @@
 import pytest
 
 from chromsym.coloring import x_colorings
+from chromsym.errors import SizeLimitExceeded
 from chromsym.gfunctions import (
     bounded_permutations,
     closed_g,
     cycle_sizes,
     cycle_word,
     g_cap,
+    g_total,
     gfun,
     path_e_closed,
     path_x_closed,
@@ -64,8 +66,19 @@ def test_g_examples():
     assert g_cap((2, 2), 2) == SymFun.e_term((2,))
     assert g_cap((2, 2), 1).is_zero()
     assert g_cap((1,), 1) == SymFun.e_term((1,))
-    with pytest.raises(ValueError):
-        gfun((2, 2), 2)
+    for k in (-1, 2):
+        with pytest.raises(ValueError):
+            gfun((2, 2), k)
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            g_cap((2, 2), k)
+
+
+def test_size_limit():
+    m = path(9)
+    for compute in (g_total, x_cycle_sum, lambda m: g_cap(m, 1), lambda m: gfun(m, 0)):
+        with pytest.raises(SizeLimitExceeded):
+            compute(m)
 
 
 def test_x_cycle_sum_small():

@@ -122,6 +122,8 @@ def test_e_part_examples():
     assert e_part((1,), 1) == SymFun.e_term((1,))
     assert e_part((2, 2), 1).is_zero()
     assert e_part((2, 2), 2) == SymFun.e_term((2,))
+    for k in (-1, 0, 3):
+        assert e_part((2, 2), k) == SymFun.zero(2), k
 
 
 def test_x_unwinds_as_weighted_refinements():
