@@ -39,13 +39,14 @@ def entry_rows(rows: Filling) -> dict[int, int]:
 
 def inv_filling(m: Hess, rows: Filling) -> int:
     """Edges (i, j), i < j <= m(i), with j strictly above i in the filling."""
+    return _inv(edges(m), len(m), rows)
+
+
+def _inv(edge_list: tuple[tuple[int, int], ...], n: int, rows: Filling) -> int:
     pos = entry_rows(rows)
-    n = len(m)
     if any(not 1 <= x <= n for x in pos):
         raise InvalidFilling(f"entries must lie in [1, {n}]")
-    return sum(
-        1 for i, j in edges(m) if i in pos and j in pos and pos[j] < pos[i]
-    )
+    return sum(1 for i, j in edge_list if i in pos and j in pos and pos[j] < pos[i])
 
 
 def _enumerate(
@@ -153,9 +154,10 @@ def pt_poly(
     m: Hess, outer: Partition, inner: Partition = (), corner1: bool = False
 ) -> QPoly:
     """Sum of q^inv over the P-tableaux of a shape."""
+    edge_list = edges(m)
     total = QPoly()
     for rows in enumerate_pt(m, outer, inner, corner1):
-        total = total + QPoly((1,)).shifted(inv_filling(m, rows))
+        total = total + QPoly((1,)).shifted(_inv(edge_list, len(m), rows))
     return total
 
 
@@ -205,6 +207,7 @@ def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
     Equals the straight-shape P-tableau polynomial of lam (primed or not),
     which the tests verify independently.
     """
+    edge_list = edges(m)
     total = QPoly()
     for w in permutations(range(len(lam))):
         sign = _parity(w)
@@ -213,7 +216,7 @@ def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
             continue
         part = QPoly()
         for rows in enumerate_pa(m, shape, corner1):
-            part = part + QPoly((1,)).shifted(inv_filling(m, rows))
+            part = part + QPoly((1,)).shifted(_inv(edge_list, len(m), rows))
         total = total + sign * part
     return total
 

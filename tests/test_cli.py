@@ -184,3 +184,115 @@ def test_invalid_hessenberg_is_computation_error(capsys):
     code, _, err = run(capsys, "compute", "--what", "E", "--m", "2,1")
     assert code == 1
     assert "error" in err
+
+
+SUITE_CHECKS = {
+    "egs": ["E = G = S on 22 functions", "E_k = G_k for every k"],
+    "x-all": [
+        "coloring oracle matches transition",
+        "coloring oracle matches cycle-sum",
+        "coloring oracle matches schur",
+        "coloring oracle matches decomposition",
+    ],
+    "modlaw": [
+        "no violations on 0 triples at n=2",
+        "no violations on 1 triples at n=3",
+        "no violations on 7 triples at n=4",
+        "certificates evaluate to direct E/G/S",
+    ],
+    "sink": [
+        "coloring-side sink theorem",
+        "corner-side sink theorem",
+        "hook-shape binomial counts",
+    ],
+    "appendix": [
+        "psi/phi power relation pointwise",
+        "insertion weights sum to one",
+        "probabilities sum to one",
+        "area relation between weight variants",
+    ],
+    "paths": [
+        "closed forms match the probability model",
+        "vertical-strip recursion",
+        "peel/unpeel round trip with inv shift",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
+def test_every_suite_passes_with_its_checks(suite):
+    report = verify.run_suite(suite, 4)
+    assert report["suite"] == suite and report["n_max"] == 4
+    assert report["passed"] is True
+    assert [c["name"] for c in report["checks"]] == SUITE_CHECKS[suite]
+    assert all(c == {"name": c["name"], "passed": True} for c in report["checks"])
+
+
+def break_at(monkeypatch, module, name, bad_m):
+    """Make ``module.name`` add the basis element of shape 1^d to its result at ``bad_m``."""
+    from chromsym.symfunc import SymFun
+
+    original = getattr(module, name)
+
+    def wrong(m, *args):
+        value = original(m, *args)
+        return value + SymFun.term(value.basis, [1] * value.degree) if m == bad_m else value
+
+    monkeypatch.setattr(module, name, wrong)
+
+
+def test_failure_reports_the_first_witness(monkeypatch):
+    from chromsym import gfunctions
+
+    break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
+    report = verify.run_suite("egs", 4)
+    assert report["passed"] is False
+    assert report["checks"] == [
+        {"name": "E = G = S on 22 functions", "passed": False, "witness": "(2, 2, 3)"},
+        {"name": "E_k = G_k for every k", "passed": True},
+    ]
+
+
+def test_failure_is_confined_to_its_check(monkeypatch):
+    from chromsym import transition
+
+    break_at(monkeypatch, transition, "x_from_table", (2, 3, 3))
+    report = verify.run_suite("x-all", 4)
+    assert report["passed"] is False
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed == [
+        {"name": "coloring oracle matches transition", "passed": False, "witness": "(2, 3, 3)"}
+    ]
+
+
+def test_modlaw_witness_names_family_and_triple(monkeypatch):
+    from chromsym import ptableaux
+
+    break_at(monkeypatch, ptableaux, "s_fun", (3, 3, 3))
+    report = verify.run_suite("modlaw", 4)
+    assert [c["passed"] for c in report["checks"]] == [True, False, True, False]
+    assert report["checks"][1]["witness"] == "('S', ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1))"
+    assert report["checks"][3]["witness"] == "((3, 3, 3), 'S')"
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    from chromsym import gfunctions
+
+    break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
+    code, out, _ = run(capsys, "verify", "--suite", "egs", "--n", "4")
+    assert code == 1
+    assert "FAIL  E = G = S on 22 functions  witness: (2, 2, 3)" in out.splitlines()
+    assert "PASS  E_k = G_k for every k" in out.splitlines()
+    assert out.splitlines()[-1] == "FAIL  suite egs up to n=4"
+
+
+def test_paths_witness_is_the_first_failure(monkeypatch):
+    from chromsym import ptableaux
+    from chromsym.qpoly import Q
+
+    original = ptableaux.corner_path_poly
+    monkeypatch.setattr(
+        ptableaux, "corner_path_poly", lambda lam: original(lam) + (Q if len(lam) == 1 else 0)
+    )
+    report = verify.run_suite("paths", 4)
+    assert [c.get("witness") for c in report["checks"]] == [None, "(1,)", None]
