@@ -1,18 +1,21 @@
-"""Brute-force chromatic quasisymmetric function via proper colorings.
+"""Chromatic quasisymmetric function via proper colorings: the oracle.
 
-This is the independent oracle the rest of the package is checked against:
-it never touches the transition-probability, cycle-sum, or tableau code
-paths.  Colorings are enumerated one monomial-content class at a time, which
-both bounds the search and reads off monomial coefficients directly.
+The independent oracle the rest of the package is checked against, straight
+from Stanley's definition of X: it never touches the transition, cycle-sum,
+tableau, orientation or modular-law code.  Colorings are counted one
+monomial-content class per partition.  A backtracking search colors vertices
+1..n in order from what is left of the class's multiset.  The earlier
+neighbours of j form the interval [lo(j), j): a color one of them has is
+pruned at once, and inv grows by those holding a larger color.  Each proper
+coloring reached adds 1 to the coefficient of q^inv.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import NotProper, check_size
-from .hessenberg import Hess, edges
+from .hessenberg import Hess, area, edges
 from .partitions import partitions
 from .qpoly import QPoly
 from .symfunc import SymFun
@@ -29,37 +32,36 @@ def inv_coloring(m: Hess, colors: tuple[int, ...]) -> int:
     return sum(1 for i, j in edges(m) if colors[i - 1] > colors[j - 1])
 
 
-def _multiset_permutations(pool: dict[int, int], size: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for value in sorted(pool):
-        if pool[value] == 0:
-            continue
-        pool[value] -= 1
-        for rest in _multiset_permutations(pool, size - 1):
-            yield (value,) + rest
-        pool[value] += 1
-
-
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     """Sum of q^inv over proper colorings using each color a prescribed number of times."""
     n = len(m)
-    if sum(multiplicities.values()) != n:
-        raise ValueError("multiplicities must use every vertex exactly once")
-    total = [0] * (len(edges(m)) + 1)
-    edge_list = edges(m)
-    for colors in _multiset_permutations(dict(multiplicities), n):
-        inv = 0
-        for i, j in edge_list:
-            a, b = colors[i - 1], colors[j - 1]
-            if a == b:
-                inv = -1
-                break
-            if a > b:
-                inv += 1
-        if inv >= 0:
-            total[inv] += 1
+    if sum(multiplicities.values()) != n or min(multiplicities.values()) < 0:
+        raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
+    # Only the order of the colors matters, so color c stands for the c-th smallest.
+    left = [multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0]
+    # the earlier neighbours of v (0-based) are [lo[v], v): those u with m(u) > v
+    lo = [next(u for u in range(v + 1) if m[u] > v) for v in range(n)]
+    color = [0] * n
+    total = [0] * (area(m) + 1)
+
+    def place(v: int, inv: int) -> None:
+        # earlier neighbours form a clique: ``larger`` of their colors exceed c
+        taken = color[lo[v] : v]
+        larger = len(taken)
+        for c, count in enumerate(left):
+            if c in taken:
+                larger -= 1
+            elif not count:
+                continue
+            elif v == n - 1:
+                total[inv + larger] += 1
+            else:
+                left[c] = count - 1
+                color[v] = c
+                place(v + 1, inv + larger)
+                left[c] = count
+
+    place(0, 0)
     return QPoly(total)
 
 

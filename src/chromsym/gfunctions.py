@@ -8,9 +8,10 @@ containing 1; the weight of sigma counts graph edges (i, j) whose larger end
 precedes the smaller in the resulting word.
 
 The graded family is computed in one pass per m: one loop over the cycle-type
-statistics of m builds ``gfun(m, k)`` for every k in [0, n), and ``g_cap``
-and ``g_total`` read that result.  The signed products h_d * omega(rho_mu)
-those loops add up do not depend on m and are cached by (d, mu).
+statistics of m builds ``gfun(m, k)`` for every k in [0, n), and each
+product ``g_cap`` and their sum ``g_total`` are then formed once per m.  The
+signed products h_d * omega(rho_mu) those loops add up do not depend on m and
+are cached by (d, mu).
 """
 
 from __future__ import annotations
@@ -169,16 +170,19 @@ def g_cap(m: Hess, k: int) -> SymFun:
     n = len(m)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    return SymFun.e_term((k,)) * gfun(m, n - k)
+    return _g_caps(m)[k - 1]
+
+
+def g_total(m: Hess) -> SymFun:
+    return _g_caps(m)[-1]
 
 
 @lru_cache(maxsize=None)
-def g_total(m: Hess) -> SymFun:
+def _g_caps(m: Hess) -> tuple[SymFun, ...]:
+    """g_cap(m, k) for k = 1, ..., n, each product formed once, then their sum."""
     n = len(m)
-    out = SymFun.zero(n)
-    for k in range(1, n + 1):
-        out = out + g_cap(m, k)
-    return out
+    caps = [SymFun.e_term((k,)) * gfun(m, n - k) for k in range(1, n + 1)]
+    return (*caps, sum(caps, SymFun.zero(n)))
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,15 @@ per graph edge.  Ascents are edges directed toward their larger endpoint.
 Sinks of an acyclic orientation are pairwise comparable in the poset, so a
 smallest sink always exists; both facts are checked rather than assumed, and
 a failed check raises :class:`InvariantViolation`.
+
+:func:`enumerate_ao` backtracks over the edges, pruning at the first directed
+cycle, and never calls :func:`theta_of`, which the binomial check compares
+it with.  :func:`hook_theta_counts` buckets the hook P-tableaux by orientation.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import MAX_N_ORIENTATIONS, InvalidFilling, InvariantViolation, check_size
 from .hessenberg import Hess, edges, poset_less
@@ -38,20 +44,33 @@ def _is_acyclic(n: int, directed: list[tuple[int, int]]) -> bool:
 
 
 def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[Orientation, ...]:
-    """All acyclic orientations; optionally only those where vertex 1 is a sink."""
+    """All acyclic orientations; optionally only those where vertex 1 is a sink.
+
+    They come in the order of the masks whose bit idx directs edge idx as
+    (i, j): the last edge is decided first, (j, i) before (i, j).  A choice
+    closing a cycle is pruned; ``reach[v]`` is the set of vertices v reaches.
+    """
     n = len(m)
     check_size(n, MAX_N_ORIENTATIONS)
     edge_list = edges(m)
+    bits = [False] * len(edge_list)
     out = []
-    for mask in range(1 << len(edge_list)):
-        directed = [
-            (i, j) if mask >> idx & 1 else (j, i)
-            for idx, (i, j) in enumerate(edge_list)
-        ]
-        if require_1_sink and any(u == 1 for u, _ in directed):
-            continue
-        if _is_acyclic(n, directed):
-            out.append(frozenset(directed))
+
+    def orient(idx: int, reach: list[int]) -> None:
+        if idx < 0:
+            out.append(frozenset((i, j) if b else (j, i) for b, (i, j) in zip(bits, edge_list)))
+            return
+        i, j = edge_list[idx]
+        for bit in (False,) if require_1_sink and i == 1 else (False, True):
+            tail, head = (i, j) if bit else (j, i)
+            if reach[head] >> tail & 1:
+                continue
+            # tail, and every vertex reaching it, now reaches head and beyond
+            gained = reach[head] | 1 << head
+            bits[idx] = bit
+            orient(idx - 1, [r | gained if v == tail or r >> tail & 1 else r for v, r in enumerate(reach)])
+
+    orient(len(edge_list) - 1, [0] * (n + 1))
     return tuple(out)
 
 
@@ -85,16 +104,14 @@ def theta_of(m: Hess, rows: Filling) -> Orientation:
     n = len(m)
     if set(pos) != set(range(1, n + 1)):
         raise InvalidFilling("the filling must use 1..n exactly once")
-    directed = []
-    for i, j in edges(m):
-        if pos[j] < pos[i]:
-            directed.append((i, j))
-        else:
-            directed.append((j, i))
-    theta = frozenset(directed)
+    return _theta(n, edges(m), pos)
+
+
+def _theta(n: int, edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) -> Orientation:
+    directed = [(i, j) if pos[j] < pos[i] else (j, i) for i, j in edge_list]
     if not _is_acyclic(n, directed):
         raise InvariantViolation("tableau orientation must be acyclic")
-    return theta
+    return frozenset(directed)
 
 
 def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
@@ -132,12 +149,23 @@ def sink_distribution(m: Hess, source: str = "X") -> dict[int, QRat]:
     return length_distribution(f)
 
 
+def hook_theta_counts(m: Hess, i: int) -> Counter[Orientation]:
+    """How many hook-shape primed P-tableaux map onto each orientation.
+
+    The hook has i cells in its first row; each orientation must be acyclic.
+    """
+    n = len(m)
+    edge_list = edges(m)
+    hook: Partition = (i,) + (1,) * (n - i)
+    tableaux = enumerate_pt(m, hook, corner1=True)
+    return Counter(_theta(n, edge_list, entry_rows(rows)) for rows in tableaux)
+
+
 def sink_subset_count(m: Hess, theta: Orientation, i: int) -> int:
     """Hook-shape primed P-tableaux mapping onto a fixed orientation.
 
     For an orientation with ell sinks including vertex 1, the count matches
-    binomial(ell - 1, i - 1); the caller compares.
+    binomial(ell - 1, i - 1); the caller compares.  A lookup into
+    :func:`hook_theta_counts`, which a caller with many orientations reads once.
     """
-    n = len(m)
-    hook: Partition = (i,) + (1,) * (n - i)
-    return sum(1 for rows in enumerate_pt(m, hook, corner1=True) if theta_of(m, rows) == theta)
+    return hook_theta_counts(m, i)[theta]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, check_size
-from .hessenberg import Hess, edges, path
+from .hessenberg import Hess, area, edges, path
 from .partitions import Partition, partitions, shape_of
 from .qpoly import QPoly
 from .symfunc import SymFun
@@ -49,116 +49,84 @@ def _inv(edge_list: tuple[tuple[int, int], ...], n: int, rows: Filling) -> int:
     return sum(1 for i, j in edge_list if i in pos and j in pos and pos[j] < pos[i])
 
 
-def _enumerate(
-    m: Hess,
-    row_lengths: tuple[int, ...],
-    inner: tuple[int, ...],
-    *,
-    column_cond: bool,
-    bijective: bool,
-    corner1: bool,
-) -> tuple[Filling, ...]:
+def _search(
+    m: Hess, row_lengths: tuple[int, ...], inner: tuple[int, ...],
+    tableau: bool, corner1: bool, keep: bool,
+) -> tuple[list[int], list[Filling]]:
     """Backtracking core shared by tableau and array modes.
 
-    Cells are filled in row-major order; ``column_cond`` switches the
-    tableau-only vertical constraint on, and ``bijective`` forces the entry
-    set to be exactly [n] rather than any injection from [n].
+    Cells are filled in row-major order; ``tableau`` switches the vertical
+    constraint on.  inv is kept as entries are placed: x adds its placed
+    neighbours y > x.  They all lie in rows above x's, since rows fill in
+    order and the entries before x in its row form a chain of the poset below
+    x.  Returns the number of fillings for each inv and, when ``keep`` is
+    set, the fillings themselves.
     """
     n = len(m)
+    counts = [0] * (area(m) + 1)
+    fillings: list[Filling] = []
     if any(a < 0 for a in row_lengths):
-        return ()
-    cells = [
-        (i, j)
-        for i, length in enumerate(row_lengths)
-        for j in range(inner[i] if i < len(inner) else 0, length)
-    ]
+        return counts, fillings
+    cells: list[tuple[int, int]] = []
+    bounds = []  # the range of cell indices of each row
+    for i, length in enumerate(row_lengths):
+        start = len(cells)
+        cells.extend((i, j) for j in range(inner[i] if i < len(inner) else 0, length))
+        bounds.append((start, len(cells)))
     size = len(cells)
-    if bijective and size != n:
+    if tableau and sum(row_lengths) - sum(inner) == n and size != n:
         raise ValueError(f"shape has {size} cells; expected {n}")
-    if size > n:
-        return ()
-    if corner1 and (0, 0) not in cells:
-        return ()
+    if size > n or (corner1 and (0, 0) not in cells):
+        return counts, fillings
 
-    grid: dict[tuple[int, int], int] = {}
-    used = [False] * (n + 1)
-    results: list[Filling] = []
+    index = {cell: k for k, cell in enumerate(cells)}
+    left = [index.get((i, j - 1), -1) for i, j in cells]
+    up = [index.get((i - 1, j), -1) if tableau else -1 for i, j in cells]
+    # higher[x]: bitmask of the neighbours y > x, that is y in (x, m(x)].
+    higher = [0] + [sum(1 << y for y in range(x + 1, m[x - 1] + 1)) for x in range(1, n + 1)]
+    # reaching[u]: the least x with u <= m(x), the least entry allowed below u.
+    reaching = [0] + [next(x for x in range(1, n + 1) if u <= m[x - 1]) for u in range(1, n + 1)]
+    vals = [0] * size
 
-    def freeze() -> Filling:
-        return tuple(
-            tuple(grid[(i, j)] for j in range(inner[i] if i < len(inner) else 0, length))
-            for i, length in enumerate(row_lengths)
-        )
-
-    def fill(idx: int) -> None:
-        if idx == size:
-            results.append(freeze())
+    def fill(k: int, used: int, inv: int) -> None:
+        if k == size:
+            counts[inv] += 1
+            if keep:
+                fillings.append(tuple(tuple(vals[a:b]) for a, b in bounds))
             return
-        i, j = cells[idx]
-        left = grid.get((i, j - 1))
-        up = grid.get((i - 1, j)) if column_cond else None
-        if corner1 and (i, j) == (0, 0):
-            candidates = (1,)
-        else:
-            candidates = range(1, n + 1)
-        for x in candidates:
-            if used[x]:
+        low = 1
+        if left[k] >= 0:
+            low = m[vals[left[k]] - 1] + 1
+        if up[k] >= 0:
+            low = max(low, reaching[vals[up[k]]])
+        high = 1 if corner1 and k == 0 else n
+        for x in range(low, high + 1):
+            if used >> x & 1:
                 continue
-            if left is not None and not m[left - 1] < x:
-                continue
-            if up is not None and m[x - 1] < up:
-                continue
-            used[x] = True
-            grid[(i, j)] = x
-            fill(idx + 1)
-            used[x] = False
-            del grid[(i, j)]
+            vals[k] = x
+            fill(k + 1, used | 1 << x, inv + (used & higher[x]).bit_count())
 
-    fill(0)
-    return tuple(results)
+    fill(0, 0, 0)
+    return counts, fillings
 
 
 def enumerate_pt(
-    m: Hess,
-    outer: Partition,
-    inner: Partition = (),
-    corner1: bool = False,
+    m: Hess, outer: Partition, inner: Partition = (), corner1: bool = False
 ) -> tuple[Filling, ...]:
     """P-tableaux of a straight (inner empty) or skew shape."""
-    outer = tuple(outer)
-    inner_full = tuple(inner) + (0,) * (len(outer) - len(inner))
-    return _enumerate(
-        m,
-        outer,
-        inner_full,
-        column_cond=True,
-        bijective=(sum(outer) - sum(inner) == len(m)),
-        corner1=corner1,
-    )
+    return tuple(_search(m, tuple(outer), tuple(inner), True, corner1, keep=True)[1])
 
 
 def enumerate_pa(m: Hess, alpha, corner1: bool = False) -> tuple[Filling, ...]:
     """P-arrays of a weak-composition shape; entries inject from [n]."""
-    alpha = tuple(alpha)
-    return _enumerate(
-        m,
-        alpha,
-        (0,) * len(alpha),
-        column_cond=False,
-        bijective=False,
-        corner1=corner1,
-    )
+    return tuple(_search(m, tuple(alpha), (), False, corner1, keep=True)[1])
 
 
 def pt_poly(
     m: Hess, outer: Partition, inner: Partition = (), corner1: bool = False
 ) -> QPoly:
-    """Sum of q^inv over the P-tableaux of a shape."""
-    edge_list = edges(m)
-    total = QPoly()
-    for rows in enumerate_pt(m, outer, inner, corner1):
-        total = total + QPoly((1,)).shifted(_inv(edge_list, len(m), rows))
-    return total
+    """Sum of q^inv over the P-tableaux of a shape, counted without building them."""
+    return QPoly(_search(m, tuple(outer), tuple(inner), True, corner1, keep=False)[0])
 
 
 @lru_cache(maxsize=None)
@@ -207,18 +175,15 @@ def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
     Equals the straight-shape P-tableau polynomial of lam (primed or not),
     which the tests verify independently.
     """
-    edge_list = edges(m)
-    total = QPoly()
+    total = [0] * (area(m) + 1)
     for w in permutations(range(len(lam))):
-        sign = _parity(w)
         shape = w_shift(lam, w)
         if any(a < 0 for a in shape):
             continue
-        part = QPoly()
-        for rows in enumerate_pa(m, shape, corner1):
-            part = part + QPoly((1,)).shifted(_inv(edge_list, len(m), rows))
-        total = total + sign * part
-    return total
+        sign = _parity(w)
+        counts = _search(m, shape, (), False, corner1, keep=False)[0]
+        total = [t + sign * c for t, c in zip(total, counts)]
+    return QPoly(total)
 
 
 # --- the path-shape peel bijection ----------------------------------------

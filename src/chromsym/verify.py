@@ -128,10 +128,11 @@ def suite_sink(n_max: int) -> dict:
         return None if {k: QRat(v) for k, v in right.items()} == left else m
 
     def binomial(m):
+        counts = [orientations.hook_theta_counts(m, i) for i in range(1, len(m) + 1)]
         for theta in orientations.enumerate_ao(m, require_1_sink=True):
             ell = len(orientations.sinks(m, theta))
             for i in range(1, ell + 1):
-                if orientations.sink_subset_count(m, theta, i) != comb(ell - 1, i - 1):
+                if counts[i - 1][theta] != comb(ell - 1, i - 1):
                     return m, theta, i
         return None
 

@@ -1,10 +1,16 @@
 """The proper-coloring oracle."""
 
+import ast
+from collections import Counter
+from itertools import product
+from pathlib import Path
+
 import pytest
 
+from chromsym import coloring
 from chromsym.coloring import content_coefficient, inv_coloring, x_colorings
 from chromsym.errors import NotProper, SizeLimitExceeded
-from chromsym.hessenberg import enumerate_hess, hsum, path
+from chromsym.hessenberg import edges, enumerate_hess, hsum, path
 from chromsym.qpoly import QPoly, q_int
 from chromsym.symfunc import SymFun
 
@@ -58,3 +64,51 @@ def test_complete_graph():
     poly = content_coefficient((3, 3, 3), {1: 1, 2: 1, 3: 1})
     assert poly(1) == 6
     assert poly == QPoly((1, 2, 2, 1))  # [3]_q! by inv distribution
+
+
+def _brute_force(m, colors):
+    """q^inv over all proper colorings with colors 1..colors, by content."""
+    edge_list = edges(m)
+    out = {}
+    for coloring_ in product(range(1, colors + 1), repeat=len(m)):
+        if any(coloring_[i - 1] == coloring_[j - 1] for i, j in edge_list):
+            continue
+        counts = Counter(coloring_)
+        content = tuple(counts[c] for c in range(1, colors + 1))
+        inv = sum(1 for i, j in edge_list if coloring_[i - 1] > coloring_[j - 1])
+        out[content] = out.get(content, QPoly()) + QPoly((1,)).shifted(inv)
+    return out
+
+
+def test_content_coefficient_matches_brute_force():
+    # every content, as a composition: each color used at least once, in any order
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for colors in range(1, n + 1):
+                expected = _brute_force(m, colors)
+                for content in product(range(1, n + 1), repeat=colors):
+                    if sum(content) != n:
+                        continue
+                    got = content_coefficient(m, {c + 1: k for c, k in enumerate(content)})
+                    assert got == expected.get(content, QPoly()), (m, content)
+
+
+def test_content_must_be_a_multiset_of_size_n():
+    with pytest.raises(ValueError):
+        content_coefficient((1, 2), {1: 3, 2: -1})
+    with pytest.raises(ValueError):
+        content_coefficient((1, 2), {1: 1})
+
+
+def test_coloring_imports_no_other_engine():
+    engines = {"ptableaux", "transition", "gfunctions", "orientations", "modular"}
+    tree = ast.parse(Path(coloring.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert imported & engines == set()
+    assert "hessenberg" in imported  # the walk does see the real imports

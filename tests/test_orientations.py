@@ -1,13 +1,20 @@
 """Acyclic orientations, sinks, and the zeta specialization."""
 
 import random
+from collections import Counter
 from math import comb, factorial
 
-from chromsym.hessenberg import enumerate_hess
+import pytest
+
+from chromsym import orientations
+from chromsym.errors import InvariantViolation
+
+from chromsym.hessenberg import edges, enumerate_hess
 from chromsym.orientations import (
     ao_sink_poly,
     asc,
     enumerate_ao,
+    hook_theta_counts,
     length_distribution,
     sink_distribution,
     sink_subset_count,
@@ -121,3 +128,49 @@ def test_hook_binomial_counts():
             assert sink_subset_count(m, theta, i) == comb(ell - 1, i - 1)
             if i in (1, ell):
                 assert sink_subset_count(m, theta, i) == 1
+
+
+def _acyclic_by_masks(m, require_1_sink):
+    """Every orientation, in mask order; keep those with no directed cycle."""
+    n, edge_list = len(m), edges(m)
+    out = []
+    for mask in range(1 << len(edge_list)):
+        directed = [(i, j) if mask >> idx & 1 else (j, i) for idx, (i, j) in enumerate(edge_list)]
+        if require_1_sink and any(u == 1 for u, _ in directed):
+            continue
+        # peel off sinks until none is left; a cycle leaves vertices behind
+        left = set(range(1, n + 1))
+        while True:
+            tails = {u for u, v in directed if u in left and v in left}
+            if tails == left:
+                break
+            left = tails
+        if not left:
+            out.append(frozenset(directed))
+    return tuple(out)
+
+
+def test_enumerate_ao_matches_mask_reference_in_order():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for require_1_sink in (False, True):
+                assert enumerate_ao(m, require_1_sink) == _acyclic_by_masks(m, require_1_sink)
+
+
+def test_hook_theta_counts_match_theta_of():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for i in range(1, n + 1):
+                hook = (i,) + (1,) * (n - i)
+                tableaux = enumerate_pt(m, hook, corner1=True)
+                counts = hook_theta_counts(m, i)
+                assert counts == Counter(theta_of(m, rows) for rows in tableaux), (m, i)
+                for theta in enumerate_ao(m, require_1_sink=True):
+                    expected = sum(1 for rows in tableaux if theta_of(m, rows) == theta)
+                    assert sink_subset_count(m, theta, i) == expected == counts[theta]
+
+
+def test_hook_theta_counts_check_acyclicity(monkeypatch):
+    monkeypatch.setattr(orientations, "_is_acyclic", lambda n, directed: False)
+    with pytest.raises(InvariantViolation):
+        hook_theta_counts((2, 3, 3), 1)

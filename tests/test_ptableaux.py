@@ -1,6 +1,7 @@
 """P-tableaux, P-arrays, signed sums, and the path peel bijection."""
 
 from collections import defaultdict
+from itertools import permutations
 
 import pytest
 
@@ -202,3 +203,44 @@ def test_peel_round_trip_exhaustive():
                 assert 1 <= j <= (n - sum(mu)) - 1
                 assert path_unpeel(stripped, j, lam) == rows
                 assert inv_filling(m, rows) == inv_filling(path(sum(mu)), stripped) + j
+
+
+def _inv_sum(m, fillings):
+    return sum((ONE.shifted(inv_filling(m, rows)) for rows in fillings), QPoly())
+
+
+def _contains(lam, mu):
+    return len(mu) <= len(lam) and all(a <= b for a, b in zip(mu, lam))
+
+
+def test_pt_poly_matches_scored_fillings():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            shapes = [(lam, ()) for size in (n - 1, n) for lam in partitions(size)]
+            shapes += [
+                (lam, mu)
+                for j in (1, 2)
+                for lam in partitions(n + j)
+                for mu in partitions(j)
+                if _contains(lam, mu)
+            ]
+            for outer, inner in shapes:
+                for corner1 in (False, True):
+                    expected = _inv_sum(m, enumerate_pt(m, outer, inner, corner1))
+                    assert pt_poly(m, outer, inner, corner1) == expected, (m, outer, inner)
+
+
+def test_signed_pa_sum_matches_scored_arrays():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for lam in partitions(n):
+                for corner1 in (False, True):
+                    expected = QPoly()
+                    for w in permutations(range(len(lam))):
+                        shape = w_shift(lam, w)
+                        if min(shape) < 0:
+                            continue
+                        inversions = sum(1 for a, b in permutations(range(len(w)), 2) if a < b and w[a] > w[b])
+                        arrays = _inv_sum(m, enumerate_pa(m, shape, corner1))
+                        expected = expected + (-1) ** inversions * arrays
+                    assert signed_pa_sum(m, lam, corner1) == expected, (m, lam, corner1)
