@@ -4,11 +4,12 @@ Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
 
-Sizes follow the one policy in :mod:`chromsym.errors`: n is at most 8, and the
-``sink`` suite, which enumerates acyclic orientations, stops at 7.  The
-CHROMSYM_NMAX environment variable can only lower these limits; a value that is
-not an integer is a usage error.  A ``--n`` or ``--m`` above the limit is
-refused with exit code 2 before any work starts.
+Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
+every command and every suite.  The CHROMSYM_NMAX environment variable, read
+on every call, can only lower it; a value that is not an integer is a usage
+error.  A ``--n`` or ``--m`` above the limit is refused with exit code 2
+before any work starts.  The argument parser is built once per process, on
+first use.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import coloring, gfunctions, modular, ptableaux, transition, verify
 from .errors import MAX_N
@@ -27,23 +29,20 @@ from .symfunc import SymFun
 
 def _check_size(args, parser: argparse.ArgumentParser) -> None:
     """Refuse a request above the size limit as a usage error."""
-    limit = verify.MAX_N_BY_SUITE[args.suite] if args.command == "verify" else MAX_N
+    limit = MAX_N
     env = os.environ.get("CHROMSYM_NMAX")
     if env is not None:
         try:
             limit = min(limit, int(env))
         except ValueError:
             parser.error(f"CHROMSYM_NMAX must be an integer, got {env!r}")
-    if args.command == "verify":
-        if args.n > limit:
-            parser.error(f"--n {args.n} exceeds the limit {limit} of suite {args.suite}")
-    elif args.m is not None:
-        # hess() parses --m later, so that a malformed value stays a computation error
-        n = len(args.m.replace(",", " ").split())
-        if n > limit:
-            parser.error(f"n = {n} exceeds the limit {limit}")
+    # hess() parses --m later, so that a malformed value stays a computation error
+    n = args.n if args.command == "verify" else len((args.m or "").replace(",", " ").split())
+    if n > limit:
+        parser.error(f"n = {n} exceeds the limit {limit}")
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromsym",
@@ -84,22 +83,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def _print_symfun(f: SymFun, as_json: bool, as_tsv: bool, at_q: str | None) -> None:
     if at_q is not None:
-        q0 = Fraction(at_q)
-        for lam, value in sorted(f.at_q(q0).items(), reverse=True):
-            if as_tsv:
-                print(f"[{','.join(map(str, lam))}]\t{value}")
-            elif lam:
-                print(f"{f.basis}[{','.join(map(str, lam))}]: {value}")
-            else:
-                print(str(value))
-        return
-    if as_json:
+        items = sorted(f.at_q(Fraction(at_q)).items(), reverse=True)
+    elif as_json:
         print(json.dumps(f.to_json()))
         return
-    if f.is_zero():
+    elif f.is_zero():
         print("0")
         return
-    for lam, c in f.sorted_items():
+    else:
+        items = f.sorted_items()
+    for lam, c in items:
         if as_tsv:
             print(f"[{','.join(map(str, lam))}]\t{c}")
         elif lam:

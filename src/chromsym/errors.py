@@ -1,17 +1,11 @@
-"""Exception types shared across the package, and the one size-limit policy.
+"""Exception types shared across the package, and the one size limit.
 
-The transition, cycle-sum, P-tableau, coloring and reduction engines refuse a
-Hessenberg function longer than :data:`MAX_N`; the acyclic-orientation
-enumeration, which tries all 2^|E| edge masks, stops at
-:data:`MAX_N_ORIENTATIONS`.  Each checks once, at its entry point, and raises
-:class:`SizeLimitExceeded`.
+The transition, cycle-sum, P-tableau, coloring, acyclic-orientation and
+reduction engines refuse a Hessenberg function longer than :data:`MAX_N`.
+Each checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
 """
 
 MAX_N = 8
-
-# Summed over every m of length n there are 7.0e6 orientation masks at n = 7
-# and 9.2e8 at n = 8, and the sink suite tries each of them.
-MAX_N_ORIENTATIONS = 7
 
 
 class NotDivisible(ArithmeticError):
@@ -39,13 +33,13 @@ class DegreeMismatch(ValueError):
 
 
 class SizeLimitExceeded(ValueError):
-    """Raised when an engine is asked for n above its limit in this module."""
+    """Raised when an engine is asked for n above :data:`MAX_N`."""
 
 
-def check_size(n: int, limit: int = MAX_N) -> None:
+def check_size(n: int) -> None:
     """Refuse an input of length n above the limit."""
-    if n > limit:
-        raise SizeLimitExceeded(f"n = {n} exceeds the limit {limit}")
+    if n > MAX_N:
+        raise SizeLimitExceeded(f"n = {n} exceeds the limit {MAX_N}")
 
 
 class NotProper(ValueError):

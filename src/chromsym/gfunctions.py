@@ -7,17 +7,18 @@ first and ordered by increasing minima, so the first cycle is the one
 containing 1; the weight of sigma counts graph edges (i, j) whose larger end
 precedes the smaller in the resulting word.
 
-The graded family is computed in one pass per m: one loop over the cycle-type
-statistics of m builds ``gfun(m, k)`` for every k in [0, n), and each
-product ``g_cap`` and their sum ``g_total`` are then formed once per m.  The
-signed products h_d * omega(rho_mu) those loops add up do not depend on m and
-are cached by (d, mu).
+:func:`_cycle_stats` counts while it searches: it builds the cycle words
+themselves, keeping weight and cycle sizes as it goes, and never forms sigma;
+:func:`bounded_permutations`, :func:`cycle_word` and :func:`wt` state the
+definition directly.  Every ``gfun(m, k)``, ``g_cap`` and ``g_total`` is built
+once per m, adding up the signed products h_d * omega(rho_mu), which are
+cached by (d, mu), into integer q-coefficients in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import check_size
 from .hessenberg import Hess, edges
@@ -83,15 +84,11 @@ def cycle_sizes(sigma: Perm) -> tuple[int, ...]:
 
 def wt(m: Hess, sigma: Perm) -> int:
     """Edges (i, j), i < j <= m(i), with j before i in the cycle word."""
-    return _wt(edges(m), sigma)
-
-
-def _wt(edge_list: tuple[tuple[int, int], ...], sigma: Perm) -> int:
     word = cycle_word(sigma)
     pos = [0] * (len(sigma) + 1)
     for idx, v in enumerate(word):
         pos[v] = idx
-    return sum(1 for i, j in edge_list if pos[j] < pos[i])
+    return sum(1 for i, j in edges(m) if pos[j] < pos[i])
 
 
 @lru_cache(maxsize=None)
@@ -122,15 +119,34 @@ def _omega_rho_product(parts: tuple[int, ...]) -> SymFun:
 
 @lru_cache(maxsize=None)
 def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
-    """Aggregate q^wt by (size of the cycle containing 1, sorted other sizes)."""
+    """Aggregate q^wt by (size of the cycle containing 1, sorted other sizes).
+
+    A cycle opens at the smallest unplaced vertex s; from its last vertex u it
+    closes (sigma(u) = s <= m(u)) or goes on to an unplaced v <= m(u).  Placing
+    x adds its placed neighbours y in ``up[x]`` = {x < y <= m(x)} to the weight.
+    """
     check_size(len(m))
+    n = len(m)
+    up = [0] + [(1 << m[x - 1] + 1) - (1 << x + 1) for x in range(1, n + 1)]
+    n_edges = sum(b.bit_count() for b in up)
+    full = (1 << n + 1) - 1  # bit 0 is always set, so placed + 1 flips the lowest free bit
     stats: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    edge_list = edges(m)
-    for sigma in bounded_permutations(m):
-        sizes = cycle_sizes(sigma)
-        key = (sizes[0], tuple(sorted(sizes[1:], reverse=True)))
-        bucket = stats.setdefault(key, [0] * (len(edge_list) + 1))
-        bucket[_wt(edge_list, sigma)] += 1
+    sizes: list[int] = []
+
+    def extend(placed: int, s: int, u: int, size: int, w: int) -> None:
+        sizes.append(size)
+        if placed == full:
+            key = (sizes[0], tuple(sorted(sizes[1:], reverse=True)))
+            stats.setdefault(key, [0] * (n_edges + 1))[w] += 1
+        else:
+            t = ((placed + 1) & ~placed).bit_length() - 1
+            extend(placed | 1 << t, t, t, 1, w + (up[t] & placed).bit_count())
+        sizes.pop()
+        for v in range(s + 1, m[u - 1] + 1):
+            if not placed >> v & 1:
+                extend(placed | 1 << v, s, v, size + 1, w + (up[v] & placed).bit_count())
+
+    extend(3, 1, 1, 1, 0)
     return {key: QPoly(counts) for key, counts in stats.items()}
 
 
@@ -141,16 +157,33 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
     return -term if d % 2 else term
 
 
+def _sum(degree: int, terms: Iterable[tuple[QPoly, SymFun]]) -> SymFun:
+    """Sum of poly * f over the terms, accumulating integer q-coefficients in place.
+
+    f is in the elementary basis; a coefficient that is not a polynomial raises NotDivisible.
+    """
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for poly, f in terms:
+        a = poly.coeffs
+        for lam, c in f.coeffs.items():
+            b = c.as_poly().coeffs
+            row = acc.setdefault(lam, [])
+            row.extend([0] * (len(a) + len(b) - 1 - len(row)))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    row[i + j] += x * y
+    return SymFun(degree, "e", {lam: QPoly(row) for lam, row in acc.items()})
+
+
 @lru_cache(maxsize=None)
 def _gfuns(m: Hess) -> tuple[SymFun, ...]:
-    """gfun(m, k) for every k in [0, n), from one loop over the cycle statistics."""
+    """gfun(m, k) for every k in [0, n): first cycles of size t1 >= n - k, d = t1 - (n - k)."""
     n = len(m)
-    out = [SymFun.zero(k) for k in range(n)]
-    for (t1, rest), poly in _cycle_stats(m).items():
-        for d in range(t1):
-            k = n - t1 + d
-            out[k] = out[k] + poly * _term(d, rest)
-    return tuple(out)
+    stats = _cycle_stats(m).items()
+    return tuple(
+        _sum(k, ((poly, _term(k - n + t1, rest)) for (t1, rest), poly in stats if t1 >= n - k))
+        for k in range(n)
+    )
 
 
 def gfun(m: Hess, k: int) -> SymFun:
@@ -188,11 +221,8 @@ def _g_caps(m: Hess) -> tuple[SymFun, ...]:
 @lru_cache(maxsize=None)
 def x_cycle_sum(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function as a full cycle-type sum."""
-    n = len(m)
-    out = SymFun.zero(n)
-    for (t1, rest), poly in _cycle_stats(m).items():
-        out = out + poly * _omega_rho_product((t1,) + rest)
-    return out
+    stats = _cycle_stats(m).items()
+    return _sum(len(m), ((poly, _omega_rho_product((t1,) + rest)) for (t1, rest), poly in stats))
 
 
 @lru_cache(maxsize=None)

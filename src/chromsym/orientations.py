@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import MAX_N_ORIENTATIONS, InvalidFilling, InvariantViolation, check_size
+from .errors import InvalidFilling, InvariantViolation, check_size
 from .hessenberg import Hess, edges, poset_less
 from .partitions import Partition
 from .ptableaux import Filling, entry_rows, enumerate_pt
@@ -51,7 +51,7 @@ def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[Orientation, ..
     closing a cycle is pruned; ``reach[v]`` is the set of vertices v reaches.
     """
     n = len(m)
-    check_size(n, MAX_N_ORIENTATIONS)
+    check_size(n)
     edge_list = edges(m)
     bits = [False] * len(edge_list)
     out = []
@@ -116,9 +116,13 @@ def _theta(n: int, edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) 
 
 def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     """Ascent-generating polynomial of acyclic orientations, by sink count."""
+    return _sink_poly(m, enumerate_ao(m, require_1_sink))
+
+
+def _sink_poly(m: Hess, thetas: tuple[Orientation, ...]) -> dict[int, QPoly]:
     out: dict[int, list[int]] = {}
     max_asc = len(edges(m))
-    for theta in enumerate_ao(m, require_1_sink):
+    for theta in thetas:
         ell = len(sinks(m, theta))
         bucket = out.setdefault(ell, [0] * (max_asc + 1))
         bucket[asc(m, theta)] += 1

@@ -3,8 +3,8 @@
 Each suite checks an identity family over every Hessenberg function (or
 triple, or tableau) up to the requested length and reports structured
 pass/fail records with witnesses.  Everything is exact: a check passes only
-by structural equality in Q(q).  :data:`MAX_N_BY_SUITE` gives the largest n
-each suite accepts, from the limits in :mod:`chromsym.errors`.
+by structural equality in Q(q).  Every suite accepts n up to the one limit
+in :mod:`chromsym.errors`.
 
 A suite only declares its checks, in groups ``(names, instances, test)``:
 ``test(x)`` returns one witness, or None, per name.  One runner, :func:`_run`,
@@ -18,7 +18,6 @@ from __future__ import annotations
 from math import comb
 
 from . import coloring, gfunctions, modular, orientations, ptableaux, transition
-from .errors import MAX_N, MAX_N_ORIENTATIONS
 from .hessenberg import Hess, enumerate_hess, path
 from .partitions import all_syt, partitions, vertical_strips
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_int
@@ -122,14 +121,13 @@ def suite_modlaw(n_max: int) -> dict:
 def suite_sink(n_max: int) -> dict:
     """Both sink theorems and the hook-shape binomial counts."""
 
-    def theorem(m, side, corner1):
+    def theorem(m, side, right):
         left = orientations.sink_distribution(m, side)
-        right = orientations.ao_sink_poly(m, corner1)
         return None if {k: QRat(v) for k, v in right.items()} == left else m
 
-    def binomial(m):
+    def binomial(m, sink1):
         counts = [orientations.hook_theta_counts(m, i) for i in range(1, len(m) + 1)]
-        for theta in orientations.enumerate_ao(m, require_1_sink=True):
+        for theta in sink1:
             ell = len(orientations.sinks(m, theta))
             for i in range(1, ell + 1):
                 if counts[i - 1][theta] != comb(ell - 1, i - 1):
@@ -137,7 +135,9 @@ def suite_sink(n_max: int) -> dict:
         return None
 
     def test(m):
-        return theorem(m, "X", False), theorem(m, "S", True), binomial(m)
+        sink1 = orientations.enumerate_ao(m, require_1_sink=True)
+        left = theorem(m, "X", orientations.ao_sink_poly(m))
+        return left, theorem(m, "S", orientations._sink_poly(m, sink1)), binomial(m, sink1)
 
     names = ["coloring-side sink theorem", "corner-side sink theorem", "hook-shape binomial counts"]
     return _run("sink", n_max, [(names, _all_hess(n_max), test)])
@@ -222,8 +222,6 @@ SUITES = {
     "appendix": suite_appendix,
     "paths": suite_paths,
 }
-
-MAX_N_BY_SUITE = {**dict.fromkeys(SUITES, MAX_N), "sink": MAX_N_ORIENTATIONS}
 
 
 def run_suite(name: str, n_max: int) -> dict:

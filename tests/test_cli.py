@@ -1,11 +1,17 @@
 """Command line behavior: output formats, exit codes, and the size cap."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chromsym
 from chromsym import verify
 from chromsym.cli import main
+from chromsym.hessenberg import enumerate_hess
 
 
 def run(capsys, *argv):
@@ -118,16 +124,14 @@ def no_suite_runs(monkeypatch):
 
 def test_sink_limit_is_a_usage_error(no_suite_runs):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "sink", "--n", "8"])
+        main(["verify", "--suite", "sink", "--n", "9"])
     assert exc.value.code == 2
 
 
 def test_every_other_suite_accepts_the_shared_limit(no_suite_runs):
-    for suite in sorted(set(verify.SUITES) - {"sink"}):
+    for suite in sorted(verify.SUITES):
         with pytest.raises(SuiteStarted):
             main(["verify", "--suite", suite, "--n", "8"])
-    with pytest.raises(SuiteStarted):
-        main(["verify", "--suite", "sink", "--n", "7"])
 
 
 def test_cap_env_lowers_every_limit(no_suite_runs, monkeypatch):
@@ -296,3 +300,50 @@ def test_paths_witness_is_the_first_failure(monkeypatch):
     )
     report = verify.run_suite("paths", 4)
     assert [c.get("witness") for c in report["checks"]] == [None, "(1,)", None]
+
+
+def run_alone(argv):
+    """Exit code, stdout and stderr of one command in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "CHROMSYM_NMAX"}
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromsym.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_calls_alone(capsys, monkeypatch):
+    monkeypatch.delenv("CHROMSYM_NMAX", raising=False)
+    calls = [
+        ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],
+        ["verify", "--suite", "egs", "--n", "3"],
+        ["verify", "--suite", "egs", "--n", "9"],
+        ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in results] == [0, 0, 2, 0]
+    assert results == [run_alone(argv) for argv in calls]
+
+
+def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypatch):
+    from chromsym import orientations
+
+    original = orientations.enumerate_ao
+    calls = []
+
+    def counted(m, require_1_sink=False):
+        if require_1_sink:
+            calls.append(m)
+        return original(m, require_1_sink)
+
+    monkeypatch.setattr(orientations, "enumerate_ao", counted)
+    assert verify.run_suite("sink", 4)["passed"] is True
+    assert sorted(calls) == sorted(m for n in range(1, 5) for m in enumerate_hess(n))

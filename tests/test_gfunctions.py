@@ -1,9 +1,12 @@
 """Cycle-sum refinements: bounded permutations, weights, and closed forms."""
 
+from collections import Counter
+
 import pytest
 
+from chromsym import gfunctions
 from chromsym.coloring import x_colorings
-from chromsym.errors import SizeLimitExceeded
+from chromsym.errors import NotDivisible, SizeLimitExceeded
 from chromsym.gfunctions import (
     bounded_permutations,
     closed_g,
@@ -19,7 +22,7 @@ from chromsym.gfunctions import (
     x_cycle_sum,
 )
 from chromsym.hessenberg import enumerate_hess, hsum, path, path_components
-from chromsym.qpoly import Q, q_int
+from chromsym.qpoly import ONE, Q, QPoly, QRat, q_int
 from chromsym.symfunc import SymFun, h_to_e
 
 
@@ -137,3 +140,45 @@ def test_closed_form_fails_off_paths():
                 witnesses.append(m)
     assert (3, 3, 3) in witnesses
     assert witnesses
+
+
+def scored_stats(m):
+    """The cycle statistics of m, scoring every bounded permutation separately."""
+    counts = {}
+    for sigma in bounded_permutations(m):
+        sizes = cycle_sizes(sigma)
+        key = (sizes[0], tuple(sorted(sizes[1:], reverse=True)))
+        counts.setdefault(key, Counter())[wt(m, sigma)] += 1
+    return {key: QPoly([c[w] for w in range(max(c) + 1)]) for key, c in counts.items()}
+
+
+def test_cycle_stats_match_scored_permutations():
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            assert gfunctions._cycle_stats(m) == scored_stats(m), m
+
+
+def test_accumulated_sums_match_symfun_folds():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            stats = scored_stats(m)
+            for k in range(n):
+                expected = SymFun.zero(k)
+                for (t1, rest), poly in stats.items():
+                    if t1 >= n - k:
+                        expected = expected + poly * gfunctions._term(t1 - n + k, rest)
+                assert gfun(m, k) == expected, (m, k)
+            expected = SymFun.zero(n)
+            for (t1, rest), poly in stats.items():
+                expected = expected + poly * gfunctions._omega_rho_product((t1,) + rest)
+            assert x_cycle_sum(m) == expected, m
+
+
+def test_non_polynomial_term_is_refused(monkeypatch):
+    original = gfunctions._term
+    monkeypatch.setattr(
+        gfunctions, "_term", lambda d, rest: original(d, rest).scaled(QRat(ONE, q_int(2)))
+    )
+    gfunctions._gfuns.cache_clear()
+    with pytest.raises(NotDivisible):
+        gfun((2, 3, 3), 1)
