@@ -3,6 +3,7 @@
 Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
+A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite.  The CHROMSYM_NMAX environment variable, read
@@ -42,6 +43,14 @@ def _check_size(args, parser: argparse.ArgumentParser) -> None:
         parser.error(f"n = {n} exceeds the limit {limit}")
 
 
+def _rational(text: str) -> Fraction:
+    """Parse --at-q, so that a malformed value is refused before any work."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+
+
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,7 +70,9 @@ def _parser() -> argparse.ArgumentParser:
         choices=["coloring", "transition", "cycle-sum", "schur"],
         help="which engine computes X",
     )
-    p.add_argument("--at-q", dest="at_q", help="evaluate coefficients at an exact rational q")
+    p.add_argument(
+        "--at-q", dest="at_q", type=_rational, help="evaluate coefficients at an exact rational q"
+    )
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true", help="partition and coefficient columns")
@@ -81,9 +92,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_symfun(f: SymFun, as_json: bool, as_tsv: bool, at_q: str | None) -> None:
+def _print_symfun(f: SymFun, as_json: bool, as_tsv: bool, at_q: Fraction | None) -> None:
     if at_q is not None:
-        items = sorted(f.at_q(Fraction(at_q)).items(), reverse=True)
+        items = sorted(f.at_q(at_q).items(), reverse=True)
     elif as_json:
         print(json.dumps(f.to_json()))
         return
@@ -106,6 +117,8 @@ def _cmd_compute(args, parser) -> int:
         parser.error(f"--what {args.what} requires --k")
     if args.what != "rho" and args.m is None:
         parser.error(f"--what {args.what} requires --m")
+    if args.at_q is not None and args.json:
+        parser.error("--at-q cannot be combined with --json")
     if args.m is not None:
         m = hess(args.m)
     if args.what == "X":

@@ -12,6 +12,10 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+class NotCyclotomic(ArithmeticError):
+    """Raised when a denominator is not plus or minus a product of Phi_d, d >= 2."""
+
+
 class InvariantViolation(ArithmeticError):
     """Raised when an internal invariant of a construction fails.
 

@@ -1,57 +1,44 @@
-"""Exact arithmetic for polynomials and rational functions in the parameter q.
+"""Exact arithmetic for integer polynomials in q and their cyclotomic quotients.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``, with
-integers kept as plain ``int``), so q-factorials and the large alternating
-sums arising downstream never lose precision.  ``QPoly`` stores coefficients
-in ascending degree order with trailing zeros stripped.
+``QPoly`` is a polynomial with arbitrary-precision ``int`` coefficients,
+stored in ascending degree order with trailing zeros stripped; any other
+coefficient type is refused.
 
-``QRat`` keeps a canonical form: a monic denominator coprime to the
-numerator, so equality is a field-wise comparison.  Every denominator the
-engines build is a product of q-integers, and [k]_q is the product of the
-cyclotomic polynomials Phi_d over the divisors d > 1 of k.  So a ``QRat``
-stores its denominator factored as R * prod Phi_d^e_d: the exponents e_d and
-a monic residual R that is 1 for every value the engines build.  Products add
-exponents; sums take the per-d maximum and scale each numerator by the
-missing factors.  Both then strip each Phi_d from the numerator by exact
-division while it divides and its exponent lasts.  The Phi_d are monic with
-integer coefficients, so integer numerators stay integral, and they are
-irreducible over Q, so the stripped numerator is coprime to the cyclotomic
-part.  A Euclidean gcd is taken only against a residual R other than 1,
-which arises only from a caller-supplied denominator such as q or q - 2.
+Every denominator the engines build is a product of q-integers: Hikita's
+transition probabilities divide by [k]_q, and the modular law divides by
+1 + q.  [k]_q is the product of the cyclotomic polynomials Phi_d over the
+divisors d > 1 of k, so a ``QRat`` is an integer numerator over a product of
+Phi_d**e_d (d >= 2), stored as the exponents e_d.  Products add exponents;
+sums take the per-d maximum and scale each numerator by the missing factors.
+Both then strip each Phi_d from the numerator by exact division while it
+divides and its exponent lasts.  The Phi_d are monic with integer
+coefficients, so numerators stay integral, and they are irreducible, so the
+stripped numerator is coprime to its denominator and equality is a
+field-wise comparison.  A denominator that is not plus or minus such a
+product, such as q, q - 2 or 2, is refused with :class:`NotCyclotomic`.
 
-No floating point is used anywhere.
+``Fraction`` appears only where a value is evaluated at a rational q.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .errors import NotDivisible, PoleAtPoint
-
-Scalar = int | Fraction
-
-
-def _norm_coeff(c: Scalar) -> Scalar:
-    """Keep integral values as ``int`` so printing and hashing stay tidy."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
-        return c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
 
 
 class QPoly:
-    """A polynomial in q over the rationals."""
+    """A polynomial in q with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Scalar, ...] | list[Scalar] = ()):
-        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
+    def __init__(self, coeffs: tuple[int, ...] | list[int] = ()):
+        cs = list(coeffs)
+        if not {int}.issuperset(map(type, cs)):
+            raise TypeError(f"QPoly coefficients must be int, got {cs}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -60,7 +47,7 @@ class QPoly:
         raise AttributeError("QPoly is immutable")
 
     @classmethod
-    def const(cls, c: Scalar) -> "QPoly":
+    def const(cls, c: int) -> "QPoly":
         return cls((c,))
 
     @property
@@ -80,7 +67,7 @@ class QPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == QPoly.const(other)
         return NotImplemented
 
@@ -155,52 +142,16 @@ class QPoly:
             return self
         return QPoly((0,) * k + self.coeffs)
 
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if not isinstance(other, QPoly):
-            other = _as_poly(other)
+    def exact_div(self, other: "QPoly") -> "QPoly":
+        """The quotient in Z[q]; raises :class:`NotDivisible` if there is none."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lead = other.degree, other.coeffs[-1]
-        int_lead = type(lead) is int
-        quot = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            if lead == 1:
-                factor = c
-            elif lead == -1:
-                factor = -c
-            elif int_lead and type(c) is int and c % lead == 0:
-                factor = c // lead
-            else:
-                factor = _norm_coeff(Fraction(c) / lead)
-            quot[i - db] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] -= factor * b
-        return QPoly(quot), QPoly(rem)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Exact quotient; raises :class:`NotDivisible` on a nonzero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        quot = _quotient(self, other.coeffs)
+        if quot is None:
             raise NotDivisible(f"{self} is not divisible by {other}")
-        return q
+        return quot
 
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        inv = Fraction(1, 1) / lead
-        return QPoly(tuple(_norm_coeff(c * inv) for c in self.coeffs))
-
-    def __call__(self, q0: Scalar) -> Fraction:
+    def __call__(self, q0: int | Fraction) -> Fraction:
         """Evaluate at an exact rational point."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -212,7 +163,8 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data: list[str]) -> "QPoly":
-        return cls(tuple(Fraction(s) for s in data))
+        """Parse decimal integer strings; anything else raises ``ValueError``."""
+        return cls(tuple(int(str(s)) for s in data))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -229,8 +181,6 @@ class QPoly:
                 terms.append(var)
             elif c == -1:
                 terms.append(f"-{var}")
-            elif isinstance(c, Fraction):
-                terms.append(f"({c})*{var}")
             else:
                 terms.append(f"{c}*{var}")
         out = " + ".join(terms)
@@ -243,7 +193,7 @@ class QPoly:
 def _as_poly(x) -> QPoly | None:
     if isinstance(x, QPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return QPoly.const(x)
     return None
 
@@ -251,13 +201,6 @@ def _as_poly(x) -> QPoly | None:
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 @lru_cache(maxsize=None)
@@ -339,17 +282,23 @@ def _exps_lack(whole: Exps, part: Exps) -> Exps:
     return tuple((d, e - have.get(d, 0)) for d, e in whole if e > have.get(d, 0))
 
 
-def _div_monic(num: QPoly, divisor: tuple[Scalar, ...]) -> QPoly | None:
-    """num / divisor for a monic divisor, or None when it leaves a remainder."""
-    db = len(divisor) - 1
+def _quotient(num: QPoly, divisor: tuple[int, ...]) -> QPoly | None:
+    """num / divisor in Z[q], or None when there is no such quotient.
+
+    Long division whose every step divides exactly in the integers finds the
+    quotient whenever one exists.
+    """
+    db, lead = len(divisor) - 1, divisor[-1]
     rem = list(num.coeffs)
-    if len(rem) <= db:
-        return None
-    quot = [0] * (len(rem) - db)
+    quot = [0] * max(len(rem) - db, 0)
     low = [(j, b) for j, b in enumerate(divisor[:-1]) if b]
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    return None
             quot[i - db] = c
             base = i - db
             for j, b in low:
@@ -363,111 +312,96 @@ def _strip(p: QPoly, d: int, limit: int) -> tuple[QPoly, int]:
     """Divide Phi_d out of p while it divides, at most limit times."""
     phi = cyclotomic(d).coeffs
     times = 0
-    while times < limit and (quot := _div_monic(p, phi)) is not None:
+    while times < limit and (quot := _quotient(p, phi)) is not None:
         p = quot
         times += 1
     return p, times
 
 
-def _cancel(num: QPoly, exps: Exps, res: QPoly) -> tuple[QPoly, Exps, QPoly]:
-    """Remove from num / (res * prod Phi_d**e) every factor num shares with it."""
+def _cancel(num: QPoly, exps: Exps) -> tuple[QPoly, Exps]:
+    """Remove from num / prod Phi_d**e every factor num shares with it."""
     if num.is_zero():
-        return ZERO, (), ONE
-    if not exps and res.is_one():
-        return num, exps, res
+        return ZERO, ()
+    if not exps:
+        return num, exps
     kept = []
     for d, e in exps:
         num, times = _strip(num, d, e)
         if times < e:
             kept.append((d, e - times))
-    if not res.is_one():
-        g = poly_gcd(num, res)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            res = res.exact_div(g)
-    return num, tuple(kept), res
+    return num, tuple(kept)
 
 
 @lru_cache(maxsize=None)
-def _factor(den: QPoly) -> tuple[Exps, QPoly]:
-    """Split a monic denominator into cyclotomic exponents and a residual.
+def _factor(den: QPoly) -> Exps:
+    """Factor den as prod Phi_d**e (d >= 2), or raise :class:`NotCyclotomic`.
 
-    Phi_d is tried for every d up to degree + 1, which finds every factor of
-    a product of q-integers; whatever is left is the residual.
+    Phi_d has degree phi(d), which is at least sqrt(d) for d > 6, so trying
+    every d up to the square of the degree left, with phi(d) no larger than
+    it, finds every cyclotomic factor.
     """
-    exps = []
-    for d in range(2, den.degree + 2):
-        den, times = _strip(den, d, den.degree)
-        if times:
-            exps.append((d, times))
-    return tuple(exps), den
+    exps, rest, d = [], den, 1
+    while rest.degree > 0 and d < max(6, rest.degree**2):
+        d += 1
+        if sum(gcd(i, d) == 1 for i in range(1, d)) <= rest.degree:
+            rest, times = _strip(rest, d, rest.degree)
+            if times:
+                exps.append((d, times))
+    if not rest.is_one():
+        raise NotCyclotomic(f"{den} is not a product of Phi_d for d >= 2")
+    return tuple(exps)
 
 
 class QRat:
-    """A rational function in q, kept in canonical form.
+    """A rational function in q: an integer numerator over prod Phi_d**e_d.
 
-    The denominator is monic and coprime to the numerator, so two values are
-    equal exactly when their stored fields are.  It is kept both as the
-    polynomial ``den`` and factored as ``res * prod Phi_d**e`` (see the
-    module docstring).
+    The exponents e_d (d >= 2) are kept in ``_exps`` and multiplied out in
+    ``den``.  The numerator is coprime to the denominator, so two values are
+    equal exactly when their stored fields are.  There is no division: the
+    inverse of a value is cyclotomic only when its numerator is.
     """
 
-    __slots__ = ("num", "den", "_exps", "_res")
+    __slots__ = ("num", "den", "_exps")
 
     def __init__(self, num, den=ONE):
         num = _as_poly(num)
         den = _as_poly(den)
         if num is None or den is None:
-            raise TypeError("QRat components must be polynomials or scalars")
+            raise TypeError("QRat components must be integer polynomials or integers")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = Fraction(1, 1) / lead
-            num = num * inv
-            den = den * inv
-        exps, res = _factor(den) if den.degree > 0 else ((), ONE)
-        self._set(*_cancel(num, exps, res))
+        if den.coeffs[-1] == -1:
+            num, den = -num, -den
+        self._set(*_cancel(num, () if den.is_one() else _factor(den)))
 
-    def _set(self, num: QPoly, exps: Exps, res: QPoly) -> None:
-        den = _exps_poly(exps) if exps else ONE
-        if not res.is_one():
-            den = den * res
+    def _set(self, num: QPoly, exps: Exps) -> None:
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", _exps_poly(exps) if exps else ONE)
         object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_res", res)
 
     @classmethod
-    def _make(cls, num: QPoly, exps: Exps, res: QPoly) -> "QRat":
+    def _make(cls, num: QPoly, exps: Exps) -> "QRat":
         """A value from parts already in canonical form."""
         out = object.__new__(cls)
-        out._set(num, exps, res)
+        out._set(num, exps)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def const(cls, c: Scalar) -> "QRat":
-        return cls(QPoly.const(c))
-
-    @classmethod
     def over_q_ints(cls, num, ks) -> "QRat":
         """num divided by the product of the q-integers [k]_q for k in ks."""
         num = _as_poly(num)
         if num is None:
-            raise TypeError("QRat components must be polynomials or scalars")
+            raise TypeError("QRat components must be integer polynomials or integers")
         exps: Exps = ()
         for k in ks:
             exps = _exps_add(exps, _q_int_exps(k))
-        return cls._make(*_cancel(num, exps, ONE))
+        return cls._make(*_cancel(num, exps))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def as_poly(self) -> QPoly:
         """The underlying polynomial; raises :class:`NotDivisible` otherwise."""
@@ -488,7 +422,7 @@ class QRat:
         return hash(("QRat", self.num.coeffs, self.den.coeffs))
 
     def __neg__(self) -> "QRat":
-        return QRat._make(-self.num, self._exps, self._res)
+        return QRat._make(-self.num, self._exps)
 
     def __add__(self, other) -> "QRat":
         other = _as_rat(other)
@@ -500,16 +434,7 @@ class QRat:
             a = a * _exps_poly(lack_a)
         if lack_b:
             b = b * _exps_poly(lack_b)
-        res_a, res_b = self._res, other._res
-        if res_a == res_b:
-            res = res_a
-        else:
-            g = poly_gcd(res_a, res_b)
-            lack_res_a = res_b.exact_div(g)
-            a = a * lack_res_a
-            b = b * res_a.exact_div(g)
-            res = res_a * lack_res_a
-        return QRat._make(*_cancel(a + b, exps, res))
+        return QRat._make(*_cancel(a + b, exps))
 
     __radd__ = __add__
 
@@ -531,40 +456,13 @@ class QRat:
             return NotImplemented
         # Each numerator is already coprime to its own denominator, so only
         # the cross pairs can cancel.
-        a, exps_b, res_b = _cancel(self.num, other._exps, other._res)
-        b, exps_a, res_a = _cancel(other.num, self._exps, self._res)
-        res = res_a if res_b.is_one() else res_a * res_b
-        return QRat._make(a * b, _exps_add(exps_a, exps_b), res)
+        a, exps_b = _cancel(self.num, other._exps)
+        b, exps_a = _cancel(other.num, self._exps)
+        return QRat._make(a * b, _exps_add(exps_a, exps_b))
 
     __rmul__ = __mul__
 
-    def invert(self) -> "QRat":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        return QRat(self.den, self.num)
-
-    def __truediv__(self, other) -> "QRat":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
-
-    def __rtruediv__(self, other) -> "QRat":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return other * self.invert()
-
-    def __pow__(self, n: int) -> "QRat":
-        if n < 0:
-            return self.invert() ** (-n)
-        if n == 0:
-            return RAT_ONE
-        return QRat._make(
-            self.num**n, tuple((d, e * n) for d, e in self._exps), self._res**n
-        )
-
-    def eval_at(self, q0: Scalar) -> Fraction:
+    def eval_at(self, q0: int | Fraction) -> Fraction:
         """Exact value at q = q0; raises :class:`PoleAtPoint` on a pole."""
         d = self.den(q0)
         if d == 0:
@@ -595,7 +493,7 @@ def _as_rat(x) -> QRat | None:
         return x
     p = _as_poly(x)
     if p is not None:
-        return QRat._make(p, (), ONE)
+        return QRat._make(p, ())
     return None
 
 

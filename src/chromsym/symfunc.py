@@ -25,7 +25,7 @@ BASES = ("e", "m", "s")
 def _coerce(c) -> QRat:
     if isinstance(c, QRat):
         return c
-    if isinstance(c, (QPoly, int, Fraction)):
+    if isinstance(c, (QPoly, int)):
         return QRat(c)
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
@@ -207,22 +207,21 @@ def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
     return SymFun(f.degree, target, out)
 
 
-def _invert(rows: list[list[Fraction]]) -> list[list]:
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        out.append([int(x) if x.denominator == 1 else x for x in aug[i][n:]])
-    return out
+@lru_cache(maxsize=None)
+def _kostka_inverse(n: int):
+    """K^-1 for K[nu][mu] = kostka(nu, mu), by integer back-substitution.
+
+    K is upper unitriangular in the order of ``partitions(n)``, since
+    kostka(nu, mu) is nonzero only when nu dominates mu, and 1 when nu = mu.
+    """
+    basis_list = partitions(n)
+    size = len(basis_list)
+    inv = [[0] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        row = [kostka(basis_list[i], mu) for mu in basis_list]
+        for j in range(size):
+            inv[i][j] = int(i == j) - sum(row[k] * inv[k][j] for k in range(i + 1, size))
+    return basis_list, inv
 
 
 @lru_cache(maxsize=None)
@@ -235,8 +234,10 @@ def _e_to_s_matrix(n: int):
 
 @lru_cache(maxsize=None)
 def _s_to_e_matrix(n: int):
-    basis_list, rows = _e_to_s_matrix(n)
-    return basis_list, _invert(rows)
+    """The inverse of ``_e_to_s_matrix``: K^-1 with column lam moved to lam'."""
+    basis_list, inv = _kostka_inverse(n)
+    index = {lam: i for i, lam in enumerate(basis_list)}
+    return basis_list, [[row[index[conjugate(lam)]] for lam in basis_list] for row in inv]
 
 
 @lru_cache(maxsize=None)
@@ -248,15 +249,10 @@ def _s_to_m_matrix(n: int):
 
 @lru_cache(maxsize=None)
 def _m_to_e_matrix(n: int):
-    basis_list = partitions(n)
-    _, e2s = _e_to_s_matrix(n)
-    _, s2m = _s_to_m_matrix(n)
-    size = len(basis_list)
-    e2m = [
-        [sum(s2m[i][k] * e2s[k][j] for k in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
-    return basis_list, _invert(e2m)
+    """The inverse of e_to_m = K^T P K, with P the conjugation: s_to_e times (K^-1)^T."""
+    basis_list, s2e = _s_to_e_matrix(n)
+    _, inv = _kostka_inverse(n)
+    return basis_list, [[sum(a * b for a, b in zip(row, col)) for col in inv] for row in s2e]
 
 
 @lru_cache(maxsize=None)

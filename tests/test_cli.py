@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chromsym
-from chromsym import verify
+from chromsym import coloring, gfunctions, ptableaux, transition, verify
 from chromsym.cli import main
 from chromsym.hessenberg import enumerate_hess
 
@@ -56,6 +56,52 @@ def test_compute_at_q(capsys):
     )
     assert code == 0
     assert out.strip() == "e[2]: 2"
+
+
+class EngineStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def no_engine_runs(monkeypatch):
+    def fail(*args):
+        raise EngineStarted(args)
+
+    for module, names in (
+        (coloring, ["x_colorings"]),
+        (transition, ["x_from_table", "e_total", "e_part"]),
+        (gfunctions, ["x_cycle_sum", "g_total", "g_cap", "gfun", "rho"]),
+        (ptableaux, ["x_schur", "s_fun"]),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
+
+
+def test_malformed_at_q_is_a_usage_error(capsys, no_engine_runs):
+    for value in ("foo", "nan", "inf", "1/0", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--what", "g", "--m", "2,3,3", "--k", "1", f"--at-q={value}"])
+        assert exc.value.code == 2, value
+        assert "--at-q" in capsys.readouterr().err
+    with pytest.raises(EngineStarted):
+        main(["compute", "--what", "g", "--m", "2,3,3", "--k", "1", "--at-q=-1/2"])
+
+
+def test_at_q_with_json_is_a_usage_error(capsys, no_engine_runs):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--what", "X", "--m", "2,3,3", "--at-q", "2", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+    with pytest.raises(EngineStarted):
+        main(["compute", "--what", "X", "--m", "2,3,3", "--at-q", "2", "--tsv"])
+
+
+def test_compute_tsv_at_q(capsys):
+    code, out, _ = run(
+        capsys, "compute", "--what", "X", "--m", "2,2", "--basis", "e", "--tsv", "--at-q", "1"
+    )
+    assert code == 0
+    assert out == "[2]\t2\n"
 
 
 def test_compute_json_schema(capsys):

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromsym.errors import NotDivisible, PoleAtPoint
-from chromsym.qpoly import ONE, Q, QPoly, QRat, cyclotomic, poly_gcd, q_fact, q_int
+from chromsym.errors import NotCyclotomic, NotDivisible, PoleAtPoint
+from chromsym.modular import certificate_from_json
+from chromsym.qpoly import ONE, Q, QPoly, QRat, cyclotomic, q_fact, q_int
 
-small_fractions = st.fractions(
-    min_value=-10, max_value=10, max_denominator=12
-)
-polys = st.lists(small_fractions, max_size=6).map(QPoly)
+small_ints = st.integers(min_value=-10, max_value=10)
+polys = st.lists(small_ints, max_size=6).map(QPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -33,8 +32,12 @@ def test_exact_div_examples():
     assert q_int(4).exact_div(q_int(2)) == QPoly((1, 0, 1))
     p = QPoly((3, 0, 7))
     assert p.exact_div(ONE) == p
+    assert QPoly((2, 4)).exact_div(QPoly((-2,))) == QPoly((-1, -2))
     with pytest.raises(NotDivisible):
         q_int(3).exact_div(q_int(2))
+    # 1 = 2 * (1/2) has no quotient with integer coefficients
+    with pytest.raises(NotDivisible):
+        ONE.exact_div(QPoly((2,)))
 
 
 def test_rat_cancellation():
@@ -46,14 +49,49 @@ def test_eval_at_examples():
     r = QRat(Q * q_int(2), q_int(3))
     assert r.eval_at(1) == Fraction(2, 3)
     with pytest.raises(PoleAtPoint):
-        QRat(ONE, Q).eval_at(0)
+        QRat(ONE, q_int(2)).eval_at(-1)
 
 
-def test_invert_zero():
-    with pytest.raises(ZeroDivisionError):
-        QRat(0).invert()
+def test_zero_denominator_is_refused():
     with pytest.raises(ZeroDivisionError):
         QRat(ONE, QPoly())
+
+
+def test_non_cyclotomic_denominators_are_refused():
+    for den in (Q, Q - 2, QPoly((2,)), Q - 1, QPoly((2, 2)), q_int(3) * (Q - 2)):
+        with pytest.raises(NotCyclotomic):
+            QRat(ONE, den)
+
+
+def test_non_integer_coefficients_are_refused():
+    for c in (Fraction(1, 2), Fraction(2), 0.5):
+        with pytest.raises(TypeError):
+            QPoly((c,))
+    with pytest.raises(TypeError):
+        QRat(Fraction(1, 2))
+    for data in (["1/2"], ["0.5"], [1.5]):
+        with pytest.raises(ValueError):
+            QPoly.from_json(data)
+
+
+def test_certificate_with_a_non_cyclotomic_denominator_is_refused():
+    coeff = {"num": ["1"], "den": ["-2", "1"]}
+    with pytest.raises(NotCyclotomic):
+        certificate_from_json({"n": 2, "terms": [{"paths": [2], "coeff": coeff}]})
+
+
+def test_sign_of_the_denominator_moves_to_the_numerator():
+    r = QRat(Q, -q_int(2))
+    assert r.num == -Q and r.den == q_int(2)
+    assert QRat(3, -1) == QRat(-3)
+
+
+def test_every_cyclotomic_denominator_is_factored():
+    # Phi_6, Phi_10, Phi_12, ... have degree below d - 1.
+    for d in range(2, 41):
+        r = QRat(q_int(d), cyclotomic(d))
+        assert r.den == ONE and r.num == q_int(d).exact_div(cyclotomic(d)), d
+        assert QRat(ONE, cyclotomic(d)).den == cyclotomic(d), d
 
 
 def test_degree_of_product():
@@ -71,7 +109,22 @@ def test_exact_div_of_product(a, b):
     assert (a * b).exact_div(b) == a
 
 
-@given(polys, nonzero_polys)
+numerators = st.lists(st.integers(-20, 20), max_size=8).map(QPoly)
+q_int_lists = st.lists(st.integers(1, 12), max_size=3)
+
+
+@st.composite
+def denominators(draw):
+    """Plus or minus a product of q-integers and cyclotomic polynomials Phi_d, d >= 2."""
+    den = ONE
+    for k in draw(q_int_lists):
+        den = den * q_int(k)
+    for d in draw(st.lists(st.integers(2, 30), max_size=2)):
+        den = den * cyclotomic(d)
+    return den * draw(st.sampled_from((1, -1)))
+
+
+@given(numerators, denominators())
 def test_rat_canonical_idempotent(a, b):
     r = QRat(a, b)
     again = QRat(r.num, r.den)
@@ -79,12 +132,52 @@ def test_rat_canonical_idempotent(a, b):
     assert r + (-r) == QRat(0)
 
 
-@given(polys, nonzero_polys)
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Long division of coefficient lists (ascending) over the rationals."""
+    rem, quot = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        quot[len(rem) - len(b)] = factor
+        for j, c in enumerate(b):
+            rem[len(rem) - len(b) + j] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def _integral(coeffs: list) -> QPoly:
+    assert all(Fraction(c).denominator == 1 for c in coeffs)
+    return QPoly(tuple(int(c) for c in coeffs))
+
+
+def euclid(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """The reference reduction: divide out the monic gcd, then make den monic.
+
+    Its gcd can outlast hypothesis's default deadline on a high-degree draw,
+    so the tests that call it run with ``deadline=None``.
+    """
+    if num.is_zero():
+        return num, ONE
+    g = _gcd(list(num.coeffs), list(den.coeffs))
+    (a, ra), (b, rb) = _divmod(num.coeffs, g), _divmod(den.coeffs, g)
+    assert not ra and not rb
+    lead = b[-1]
+    return _integral([c / lead for c in a]), _integral([c / lead for c in b])
+
+
+@given(polys, denominators())
 def test_monic_denominator_and_coprime(a, b):
     r = QRat(a, b)
     assert r.den.coeffs[-1] == 1
     if not r.num.is_zero():
-        assert poly_gcd(r.num, r.den) == ONE
+        assert _gcd(list(r.num.coeffs), list(r.den.coeffs)) == [1]
 
 
 @given(polys, polys, st.fractions(min_value=-3, max_value=3, max_denominator=5))
@@ -93,16 +186,16 @@ def test_eval_commutes_with_ring_ops(a, b, q0):
     assert (a * b)(q0) == a(q0) * b(q0)
 
 
-@given(polys, nonzero_polys, polys, nonzero_polys)
+@given(polys, denominators(), polys, denominators())
 def test_rat_field_ops(a, b, c, d):
     x, y = QRat(a, b), QRat(c, d)
     assert x + y == y + x
     assert x * y == y * x
-    if not y.is_zero():
-        assert (x / y) * y == x
+    assert (x + y) * x == x * x + y * x
+    assert (x - y) + y == x
 
 
-@given(polys, nonzero_polys, polys, nonzero_polys)
+@given(polys, denominators(), polys, denominators())
 def test_rat_eval_commutes_at_nonpoles(a, b, c, d):
     x, y = QRat(a, b), QRat(c, d)
     q0 = Fraction(2)
@@ -115,42 +208,10 @@ def test_rat_eval_commutes_at_nonpoles(a, b, c, d):
 
 
 def test_serialization_round_trip():
-    r = QRat(QPoly((Fraction(1, 2), 3)), q_int(2))
+    r = QRat(QPoly((-1, 3)), q_int(2))
     assert QRat.from_json(r.to_json()) == r
-    p = QPoly((1, 0, Fraction(-2, 3)))
+    p = QPoly((1, 0, -2))
     assert QPoly.from_json(p.to_json()) == p
-
-
-int_or_fraction = st.one_of(
-    st.integers(-20, 20), st.fractions(min_value=-5, max_value=5, max_denominator=7)
-)
-numerators = st.lists(int_or_fraction, max_size=8).map(QPoly)
-q_int_lists = st.lists(st.integers(1, 12), max_size=3)
-
-
-@st.composite
-def denominators(draw):
-    """Products of q-integers, a power of q, and maybe one non-cyclotomic factor."""
-    den = ONE
-    for k in draw(q_int_lists):
-        den = den * q_int(k)
-    den = den.shifted(draw(st.integers(0, 2)))
-    if draw(st.booleans()):
-        den = den * QPoly((-2, 1))
-    return den * draw(st.sampled_from((1, -1, 3, Fraction(1, 2))))
-
-
-def euclid(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """The reference reduction: divide out the monic gcd, then make den monic.
-
-    Its gcd can outlast hypothesis's default deadline on a high-degree draw,
-    so the tests that call it run with ``deadline=None``.
-    """
-    if num.is_zero():
-        return num, ONE
-    g = poly_gcd(num, den)
-    num, den = num.exact_div(g), den.exact_div(g)
-    return num * (Fraction(1) / den.coeffs[-1]), den.monic()
 
 
 def fields(r: QRat) -> tuple[QPoly, QPoly]:
@@ -178,6 +239,12 @@ def test_over_q_ints_matches_euclidean_reduction(a, ks):
     for k in ks:
         den = den * q_int(k)
     assert fields(QRat.over_q_ints(a, ks)) == euclid(a, den)
+
+
+@given(numerators, denominators(), st.sampled_from((Q, Q - 1, Q - 2, QPoly((2,)), Q * Q + 1 + Q * 3)))
+def test_a_non_cyclotomic_factor_is_refused(a, den, bad):
+    with pytest.raises(NotCyclotomic):
+        QRat(a, den * bad)
 
 
 def test_q_int_is_the_product_of_its_cyclotomic_factors():

@@ -93,6 +93,25 @@ def test_round_trips_all_basis_elements():
             assert m.to_e().to_m() == m
 
 
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_integer_inverse_matrices_up_to_the_cap():
+    from chromsym.symfunc import _e_to_s_matrix, _m_to_e_matrix, _s_to_e_matrix, _s_to_m_matrix
+
+    for n in range(0, 9):
+        size = len(partitions(n))
+        identity = [[int(i == j) for j in range(size)] for i in range(size)]
+        e2s, s2e = _e_to_s_matrix(n)[1], _s_to_e_matrix(n)[1]
+        e2m = _product(_s_to_m_matrix(n)[1], e2s)
+        m2e = _m_to_e_matrix(n)[1]
+        for matrix in (s2e, m2e):
+            assert all(type(x) is int for row in matrix for x in row), n
+        assert _product(s2e, e2s) == identity, n
+        assert _product(e2m, m2e) == identity, n
+
+
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatch):
         SymFun.e_term((2,)) + SymFun.e_term((1,))
