@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -73,6 +74,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--at-q", dest="at_q", type=_rational, help="evaluate coefficients at an exact rational q"
     )
+    # argparse reads -1/2 as an option unless told that -<digit> starts a value
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true", help="partition and coefficient columns")

@@ -52,12 +52,6 @@ def edges(m: Hess) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, len(m) + 1) for j in range(i + 1, m[i - 1] + 1))
 
 
-def has_edge(m: Hess, i: int, j: int) -> bool:
-    if i > j:
-        i, j = j, i
-    return i < j <= m[i - 1]
-
-
 def poset_less(m: Hess, i: int, j: int) -> bool:
     """True when i precedes j in the natural unit interval order."""
     n = len(m)
@@ -109,49 +103,19 @@ def enumerate_hess(n: int) -> tuple[Hess, ...]:
     return tuple(gen(1, 1))
 
 
-def components(m: Hess) -> list[list[int]]:
-    """Connected components of the graph, each a sorted vertex list."""
-    n = len(m)
-    seen = [False] * (n + 1)
-    out = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        comp, stack = [], [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(1, n + 1):
-                if w != v and not seen[w] and has_edge(m, v, w):
-                    seen[w] = True
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
-
-
 def path_components(m: Hess) -> tuple[int, ...] | None:
     """Component sizes (in vertex order) when every component is a path.
 
-    Returns None as soon as some component contains a vertex of degree > 2 or
-    a cycle.  For these graphs a component is a path exactly when its edges
-    are the consecutive pairs, so it suffices to check edge counts and degrees.
+    The components are intervals: m(i) > i joins i to i + 1, and m(i) = i
+    cuts [1, i] off from the rest, since m(j) <= m(i) for every j <= i.  So
+    they end exactly at the fixed points of m.  An interval with m(i) <= i + 1
+    throughout has only the consecutive pairs as edges, a path; m(i) >= i + 2
+    puts i, i + 1 and i + 2 on a triangle.  Returns None in that case.
     """
-    comps = components(m)
-    sizes = []
-    for comp in comps:
-        vs = set(comp)
-        comp_edges = [e for e in edges(m) if e[0] in vs]
-        if len(comp_edges) != len(comp) - 1:
-            return None
-        degree = {v: 0 for v in comp}
-        for i, j in comp_edges:
-            degree[i] += 1
-            degree[j] += 1
-        if any(d > 2 for d in degree.values()):
-            return None
-        sizes.append(len(comp))
-    return tuple(sizes)
+    if any(v > i + 1 for i, v in enumerate(m, start=1)):
+        return None
+    ends = [i for i, v in enumerate(m, start=1) if v == i]
+    return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
 @dataclass(frozen=True)

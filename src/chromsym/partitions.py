@@ -180,14 +180,6 @@ def entry_column(tableau: Tableau, entry: int) -> int:
     raise ValueError(f"entry {entry} not in tableau")
 
 
-def syt_with_max_in_column(shape: Partition, k: int) -> tuple[Tableau, ...]:
-    """Standard tableaux of ``shape`` whose largest entry sits in column k."""
-    n = sum(shape)
-    if n == 0:
-        return ()
-    return tuple(t for t in enumerate_syt(shape) if entry_column(t, n) == k)
-
-
 def vertical_strips(shape: Partition) -> tuple[Partition, ...]:
     """All mu inside ``shape`` with shape/mu a vertical strip (mu = shape included)."""
     shape = check_partition(shape)

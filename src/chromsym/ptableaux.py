@@ -39,14 +39,11 @@ def entry_rows(rows: Filling) -> dict[int, int]:
 
 def inv_filling(m: Hess, rows: Filling) -> int:
     """Edges (i, j), i < j <= m(i), with j strictly above i in the filling."""
-    return _inv(edges(m), len(m), rows)
-
-
-def _inv(edge_list: tuple[tuple[int, int], ...], n: int, rows: Filling) -> int:
+    n = len(m)
     pos = entry_rows(rows)
     if any(not 1 <= x <= n for x in pos):
         raise InvalidFilling(f"entries must lie in [1, {n}]")
-    return sum(1 for i, j in edge_list if i in pos and j in pos and pos[j] < pos[i])
+    return sum(1 for i, j in edges(m) if i in pos and j in pos and pos[j] < pos[i])
 
 
 def _search(
@@ -129,30 +126,28 @@ def pt_poly(
     return QPoly(_search(m, tuple(outer), tuple(inner), True, corner1, keep=False)[0])
 
 
-@lru_cache(maxsize=None)
-def s_fun(m: Hess) -> SymFun:
-    """Schur generating function of primed P-tableaux (entry 1 in the corner)."""
+def _schur_sum(m: Hess, corner1: bool) -> SymFun:
+    """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
     n = len(m)
     check_size(n)
     coeffs = {}
     for lam in partitions(n):
-        poly = pt_poly(m, lam, corner1=True)
+        poly = pt_poly(m, lam, corner1=corner1)
         if not poly.is_zero():
             coeffs[lam] = poly
     return SymFun(n, "s", coeffs)
+
+
+@lru_cache(maxsize=None)
+def s_fun(m: Hess) -> SymFun:
+    """Schur generating function of primed P-tableaux (entry 1 in the corner)."""
+    return _schur_sum(m, corner1=True)
 
 
 @lru_cache(maxsize=None)
 def x_schur(m: Hess) -> SymFun:
     """Schur expansion of the chromatic quasisymmetric function via P-tableaux."""
-    n = len(m)
-    check_size(n)
-    coeffs = {}
-    for lam in partitions(n):
-        poly = pt_poly(m, lam)
-        if not poly.is_zero():
-            coeffs[lam] = poly
-    return SymFun(n, "s", coeffs)
+    return _schur_sum(m, corner1=False)
 
 
 def w_shift(lam: Partition, w: tuple[int, ...]) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
 
@@ -46,10 +45,6 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
-    @classmethod
-    def const(cls, c: int) -> "QPoly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -68,7 +63,7 @@ class QPoly:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, int):
-            return self == QPoly.const(other)
+            return self == QPoly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -194,7 +189,7 @@ def _as_poly(x) -> QPoly | None:
     if isinstance(x, QPoly):
         return x
     if isinstance(x, int):
-        return QPoly.const(x)
+        return QPoly((x,))
     return None
 
 
@@ -338,12 +333,19 @@ def _factor(den: QPoly) -> Exps:
 
     Phi_d has degree phi(d), which is at least sqrt(d) for d > 6, so trying
     every d up to the square of the degree left, with phi(d) no larger than
-    it, finds every cyclotomic factor.
+    it, finds every cyclotomic factor.  phi comes from one sieve up to the
+    first such bound, so a refusal costs no more than a success.
     """
+    bound = max(6, den.degree**2)
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime: every multiple loses the factor 1 - 1/p
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
     exps, rest, d = [], den, 1
     while rest.degree > 0 and d < max(6, rest.degree**2):
         d += 1
-        if sum(gcd(i, d) == 1 for i in range(1, d)) <= rest.degree:
+        if phi[d] <= rest.degree:
             rest, times = _strip(rest, d, rest.degree)
             if times:
                 exps.append((d, times))

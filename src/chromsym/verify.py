@@ -135,8 +135,10 @@ def suite_sink(n_max: int) -> dict:
         return None
 
     def test(m):
-        sink1 = orientations.enumerate_ao(m, require_1_sink=True)
-        left = theorem(m, "X", orientations.ao_sink_poly(m))
+        # one enumeration serves both sides; the corner side keeps those with 1 a sink
+        thetas = orientations.enumerate_ao(m)
+        sink1 = tuple(theta for theta in thetas if 1 in orientations.sinks(m, theta))
+        left = theorem(m, "X", orientations._sink_poly(m, thetas))
         return left, theorem(m, "S", orientations._sink_poly(m, sink1)), binomial(m, sink1)
 
     names = ["coloring-side sink theorem", "corner-side sink theorem", "hook-shape binomial counts"]

@@ -78,13 +78,21 @@ def no_engine_runs(monkeypatch):
 
 
 def test_malformed_at_q_is_a_usage_error(capsys, no_engine_runs):
-    for value in ("foo", "nan", "inf", "1/0", ""):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--what", "g", "--m", "2,3,3", "--k", "1", f"--at-q={value}"])
-        assert exc.value.code == 2, value
-        assert "--at-q" in capsys.readouterr().err
+    for value in ("foo", "nan", "inf", "1/0", "", "-1/0", "-x", "-"):
+        for at_q in ([f"--at-q={value}"], ["--at-q", value]):
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "--what", "g", "--m", "2,3,3", "--k", "1", *at_q])
+            assert exc.value.code == 2, at_q
+            assert "--at-q" in capsys.readouterr().err
     with pytest.raises(EngineStarted):
         main(["compute", "--what", "g", "--m", "2,3,3", "--k", "1", "--at-q=-1/2"])
+
+
+def test_negative_at_q_may_follow_a_space(capsys):
+    argv = ["compute", "--what", "X", "--m", "2,2", "--basis", "e"]
+    spaced = run(capsys, *argv, "--at-q", "-1/2")
+    glued = run(capsys, *argv, "--at-q=-1/2")
+    assert spaced == glued == (0, "e[2]: 1/2\n", "")
 
 
 def test_at_q_with_json_is_a_usage_error(capsys, no_engine_runs):
@@ -386,10 +394,10 @@ def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypat
     calls = []
 
     def counted(m, require_1_sink=False):
-        if require_1_sink:
-            calls.append(m)
+        calls.append((m, require_1_sink))
         return original(m, require_1_sink)
 
     monkeypatch.setattr(orientations, "enumerate_ao", counted)
     assert verify.run_suite("sink", 4)["passed"] is True
-    assert sorted(calls) == sorted(m for n in range(1, 5) for m in enumerate_hess(n))
+    # one call per m serves both theorems: the sink-1 list is filtered from it
+    assert sorted(calls) == sorted((m, False) for n in range(1, 5) for m in enumerate_hess(n))

@@ -157,6 +157,14 @@ def test_enumerate_ao_matches_mask_reference_in_order():
                 assert enumerate_ao(m, require_1_sink) == _acyclic_by_masks(m, require_1_sink)
 
 
+def test_vertex_one_sink_filter_matches_require_1_sink_in_order():
+    # the sink suite enumerates once per m and keeps the thetas in which 1 is a sink
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            sink1 = tuple(t for t in enumerate_ao(m) if 1 in sinks(m, t))
+            assert sink1 == enumerate_ao(m, require_1_sink=True), m
+
+
 def test_hook_theta_counts_match_theta_of():
     for n in range(1, 6):
         for m in enumerate_hess(n):

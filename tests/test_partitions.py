@@ -15,7 +15,6 @@ from chromsym.partitions import (
     enumerate_syt,
     kostka,
     partitions,
-    syt_with_max_in_column,
     vertical_strips,
 )
 
@@ -127,15 +126,6 @@ def test_syt_examples():
     assert len(enumerate_syt((4,))) == 1
     tabs = enumerate_syt((2, 1))
     assert len(tabs) == 2
-    assert syt_with_max_in_column((2, 1), 2) == (((1, 3), (2,)),)
-    assert syt_with_max_in_column((2, 2), 3) == ()
-
-
-def test_syt_column_partition():
-    for n in range(1, 7):
-        for lam in partitions(n):
-            total = sum(len(syt_with_max_in_column(lam, k)) for k in range(1, lam[0] + 1))
-            assert total == len(enumerate_syt(lam))
 
 
 def test_syt_are_standard():

@@ -1,5 +1,6 @@
 """Exact q-arithmetic: examples with hand-derived values plus algebraic laws."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,18 @@ def test_every_cyclotomic_denominator_is_factored():
         r = QRat(q_int(d), cyclotomic(d))
         assert r.den == ONE and r.num == q_int(d).exact_div(cyclotomic(d)), d
         assert QRat(ONE, cyclotomic(d)).den == cyclotomic(d), d
+
+
+def test_non_cyclotomic_refusal_is_fast():
+    # phi(d) comes from one sieve, not a gcd count per d up to degree**2
+    for den in (Q**60, Q**40 + 3 * Q**20 + 1):
+        start = time.perf_counter()
+        with pytest.raises(NotCyclotomic):
+            QRat(ONE, den)
+        assert time.perf_counter() - start < 0.1, den
+    phis = cyclotomic(2) ** 3 * cyclotomic(6) * cyclotomic(30) ** 2 * cyclotomic(40)
+    assert QRat(ONE, phis).den == phis
+    assert QRat(phis, phis * q_int(5)) == QRat(ONE, q_int(5))
 
 
 def test_degree_of_product():
