@@ -3,11 +3,16 @@
 The independent oracle the rest of the package is checked against, straight
 from Stanley's definition of X: it never touches the transition, cycle-sum,
 tableau, orientation or modular-law code.  Colorings are counted one
-monomial-content class per partition.  A backtracking search colors vertices
-1..n in order from what is left of the class's multiset.  The earlier
-neighbours of j form the interval [lo(j), j): a color one of them has is
-pruned at once, and inv grows by those holding a larger color.  Each proper
-coloring reached adds 1 to the coefficient of q^inv.
+monomial-content class per partition.  A proper coloring with content
+(k_1, k_2, ...) is a sequence of disjoint stable sets S_1, S_2, ... with
+|S_i| = k_i covering [n], color 1 the smallest.  For a Hessenberg function a
+vertex u extends an increasing stable set exactly when m(last) < u, since m
+is nondecreasing, so the stable sets of each size come from one pruned
+search.  When S_i is laid on top of the set P already colored, each j in S_i
+has a larger color than all of P, so the inv it adds is the number of its
+neighbours u > j in P: the increment depends on P and S_i alone, not on how
+P was colored.  The q^inv count of a state (colored set, class sizes left)
+is therefore memoized, at most 2^n states per suffix of the content.
 """
 
 from __future__ import annotations
@@ -32,36 +37,50 @@ def inv_coloring(m: Hess, colors: tuple[int, ...]) -> int:
     return sum(1 for i, j in edges(m) if colors[i - 1] > colors[j - 1])
 
 
+@lru_cache(maxsize=1)
+def _class_counts(m: Hess):
+    """The memoized count of (colored set, class sizes left), for the latest m only."""
+    n = len(m)
+    # stable[k]: (S, later) for each stable set S of size k, as bitmasks (bit j-1 for j).
+    # later holds the neighbours u > j of its members j, the intervals (j, m(j)], which
+    # are disjoint because S is stable, so |later & P| is the inv S adds on top of P.
+    stable: dict[int, list[tuple[int, int]]] = {}
+
+    def grow(mask: int, later: int, size: int, first: int) -> None:
+        stable.setdefault(size, []).append((mask, later))
+        for u in range(first, n):
+            grow(mask | 1 << u, later | (1 << m[u]) - (1 << u + 1), size + 1, m[u])
+
+    grow(0, 0, 0, 0)
+    memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+
+    def count(placed: int, sizes: tuple[int, ...]) -> dict[int, int]:
+        if not sizes:
+            return {0: 1}
+        if (placed, sizes) not in memo:
+            out: dict[int, int] = {}
+            for mask, later in stable.get(sizes[0], ()):
+                if not mask & placed:
+                    inc = (later & placed).bit_count()
+                    for inv, c in count(placed | mask, sizes[1:]).items():
+                        out[inv + inc] = out.get(inv + inc, 0) + c
+            memo[placed, sizes] = out
+        return memo[placed, sizes]
+
+    return count
+
+
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     """Sum of q^inv over proper colorings using each color a prescribed number of times."""
     n = len(m)
+    check_size(n)
     if sum(multiplicities.values()) != n or min(multiplicities.values()) < 0:
         raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
     # Only the order of the colors matters, so color c stands for the c-th smallest.
-    left = [multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0]
-    # the earlier neighbours of v (0-based) are [lo[v], v): those u with m(u) > v
-    lo = [next(u for u in range(v + 1) if m[u] > v) for v in range(n)]
-    color = [0] * n
+    sizes = tuple(multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0)
     total = [0] * (area(m) + 1)
-
-    def place(v: int, inv: int) -> None:
-        # earlier neighbours form a clique: ``larger`` of their colors exceed c
-        taken = color[lo[v] : v]
-        larger = len(taken)
-        for c, count in enumerate(left):
-            if c in taken:
-                larger -= 1
-            elif not count:
-                continue
-            elif v == n - 1:
-                total[inv + larger] += 1
-            else:
-                left[c] = count - 1
-                color[v] = c
-                place(v + 1, inv + larger)
-                left[c] = count
-
-    place(0, 0)
+    for inv, c in _class_counts(m)(0, sizes).items():
+        total[inv] = c
     return QPoly(total)
 
 

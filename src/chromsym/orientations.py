@@ -116,10 +116,11 @@ def _theta(n: int, edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) 
 
 def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     """Ascent-generating polynomial of acyclic orientations, by sink count."""
-    return _sink_poly(m, enumerate_ao(m, require_1_sink))
+    return sink_poly(m, enumerate_ao(m, require_1_sink))
 
 
-def _sink_poly(m: Hess, thetas: tuple[Orientation, ...]) -> dict[int, QPoly]:
+def sink_poly(m: Hess, thetas: tuple[Orientation, ...]) -> dict[int, QPoly]:
+    """Ascent-generating polynomial of the given orientations of m, by sink count."""
     out: dict[int, list[int]] = {}
     max_asc = len(edges(m))
     for theta in thetas:

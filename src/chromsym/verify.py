@@ -138,8 +138,8 @@ def suite_sink(n_max: int) -> dict:
         # one enumeration serves both sides; the corner side keeps those with 1 a sink
         thetas = orientations.enumerate_ao(m)
         sink1 = tuple(theta for theta in thetas if 1 in orientations.sinks(m, theta))
-        left = theorem(m, "X", orientations._sink_poly(m, thetas))
-        return left, theorem(m, "S", orientations._sink_poly(m, sink1)), binomial(m, sink1)
+        left = theorem(m, "X", orientations.sink_poly(m, thetas))
+        return left, theorem(m, "S", orientations.sink_poly(m, sink1)), binomial(m, sink1)
 
     names = ["coloring-side sink theorem", "corner-side sink theorem", "hook-shape binomial counts"]
     return _run("sink", n_max, [(names, _all_hess(n_max), test)])

@@ -11,6 +11,7 @@ from chromsym import coloring
 from chromsym.coloring import content_coefficient, inv_coloring, x_colorings
 from chromsym.errors import NotProper, SizeLimitExceeded
 from chromsym.hessenberg import edges, enumerate_hess, hsum, path
+from chromsym.partitions import partitions
 from chromsym.qpoly import QPoly, q_int
 from chromsym.symfunc import SymFun
 
@@ -59,6 +60,14 @@ def test_size_limit():
         x_colorings(path(9))
 
 
+def test_content_coefficient_size_limit_before_any_work():
+    before = coloring._class_counts.cache_info()
+    for multiplicities in ({1: 9}, {1: 5, 2: 4}, {1: 1}):  # the last is not even of size 9
+        with pytest.raises(SizeLimitExceeded):
+            content_coefficient(path(9), multiplicities)
+    assert coloring._class_counts.cache_info() == before
+
+
 def test_complete_graph():
     # all proper colorings of K_3 with 3 distinct colors: 3! orderings
     poly = content_coefficient((3, 3, 3), {1: 1, 2: 1, 3: 1})
@@ -91,6 +100,66 @@ def test_content_coefficient_matches_brute_force():
                         continue
                     got = content_coefficient(m, {c + 1: k for c, k in enumerate(content)})
                     assert got == expected.get(content, QPoly()), (m, content)
+
+
+def _backtrack_content_coefficient(m, multiplicities):
+    """The vertex-by-vertex search the oracle used before counting by color class.
+
+    Colors vertices 1..n in order from what is left of the multiset; the
+    earlier neighbours of v form the interval [lo(v), v), a color one of them
+    has is pruned, and inv grows by those holding a larger color.
+    """
+    n = len(m)
+    left = [multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0]
+    lo = [next(u for u in range(v + 1) if m[u] > v) for v in range(n)]
+    color = [0] * n
+    total = [0] * (len(edges(m)) + 1)
+
+    def place(v, inv):
+        taken = color[lo[v] : v]
+        larger = len(taken)
+        for c, count in enumerate(left):
+            if c in taken:
+                larger -= 1
+            elif not count:
+                continue
+            elif v == n - 1:
+                total[inv + larger] += 1
+            else:
+                left[c] = count - 1
+                color[v] = c
+                place(v + 1, inv + larger)
+                left[c] = count
+
+    place(0, 0)
+    return QPoly(total)
+
+
+def test_content_coefficient_matches_backtracking_reference():
+    # every partition of n and its reversal, as compositions in that color order
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            for lam in partitions(n):
+                for content in (lam, lam[::-1]):
+                    multiplicities = {c + 1: k for c, k in enumerate(content)}
+                    expected = _backtrack_content_coefficient(m, multiplicities)
+                    assert content_coefficient(m, multiplicities) == expected, (m, content)
+
+
+def test_class_tables_do_not_leak_across_m():
+    # the per-m tables are kept for the latest m only: m1, m2, m1 must each read as a cold call
+    def content(m):
+        return {c + 1: k for c, k in enumerate((2,) + (1,) * (len(m) - 2))}
+
+    def cold(m):
+        coloring._class_counts.cache_clear()
+        return content_coefficient(m, content(m))
+
+    for m1, m2 in [((2, 3, 3), (2, 4, 4, 4)), ((2, 4, 4, 4), (3, 3, 4, 4)), ((4, 4, 4, 4), path(4))]:
+        expected = [_backtrack_content_coefficient(m, content(m)) for m in (m1, m2, m1)]
+        assert [cold(m) for m in (m1, m2, m1)] == expected, (m1, m2)
+        coloring._class_counts.cache_clear()
+        assert [content_coefficient(m, content(m)) for m in (m1, m2, m1)] == expected, (m1, m2)
 
 
 def test_content_must_be_a_multiset_of_size_n():
