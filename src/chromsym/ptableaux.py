@@ -15,12 +15,13 @@ path-case recursion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, combinations, permutations
 
 from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, check_size
 from .hessenberg import Hess, area, edges, path
-from .partitions import Partition, partitions, shape_of
+from .partitions import Partition, check_partition, partitions, shape_of
 from .qpoly import QPoly
 from .symfunc import SymFun
 
@@ -46,64 +47,88 @@ def inv_filling(m: Hess, rows: Filling) -> int:
     return sum(1 for i, j in edges(m) if i in pos and j in pos and pos[j] < pos[i])
 
 
+@lru_cache(maxsize=None)
+def _value_masks(m: Hess) -> tuple[tuple[int, ...], ...]:
+    """Bitmasks over [n] by value x (0 for no neighbour): the values allowed
+    right of x, the values allowed below x, and the neighbours y > x."""
+    full = (1 << len(m) + 1) - 2
+    right_of = (full,) + tuple(full >> v + 1 << v + 1 for v in m)
+    reach = (bisect_left(m, x) + 1 for x in range(1, len(m) + 1))  # the least y with x <= m(y)
+    below_ok = (full,) + tuple(full >> r << r for r in reach)
+    higher = (0,) + tuple(full >> x + 1 << x + 1 & ~r for x, r in enumerate(right_of[1:], 1))
+    return right_of, below_ok, higher
+
+
+@lru_cache(maxsize=None)
+def _diagram(row_lengths: tuple[int, ...], inner: tuple[int, ...], tableau: bool) -> tuple:
+    """A shape's cells in row-major order: each row's range of indices, each
+    cell's left and upper neighbour (-1 for none, and one more -1 past the end),
+    each cell's later first cells' upper neighbours, and whether (0, 0) is a cell."""
+    inner += (0,) * len(row_lengths)
+    rows = [[(i, j) for j in range(inner[i], length)] for i, length in enumerate(row_lengths)]
+    index = {cell: k for k, cell in enumerate(cell for row in rows for cell in row)}
+    ends = tuple(accumulate(map(len, rows)))
+    bounds = tuple(zip((0,) + ends, ends))
+    left = tuple(index.get((i, j - 1), -1) for i, j in index) + (-1,)
+    up = tuple(index.get((i - 1, j), -1) if tableau else -1 for i, j in index) + (-1,)
+    later = tuple(tuple(up[a] for a, b in bounds if k < a < b) for k in range(len(index)))
+    return bounds, left, up, later, (0, 0) in index
+
+
 def _search(
     m: Hess, row_lengths: tuple[int, ...], inner: tuple[int, ...],
     tableau: bool, corner1: bool, keep: bool,
 ) -> tuple[list[int], list[Filling]]:
-    """Backtracking core shared by tableau and array modes.
+    """Fillings counted by inv and, when ``keep`` is set, listed.
 
-    Cells are filled in row-major order; ``tableau`` switches the vertical
-    constraint on.  inv is kept as entries are placed: x adds its placed
-    neighbours y > x.  They all lie in rows above x's, since rows fill in
-    order and the entries before x in its row form a chain of the poset below
-    x.  Returns the number of fillings for each inv and, when ``keep`` is
-    set, the fillings themselves.
+    Cells take, in row-major order, free values right of the left neighbour
+    and (if ``tableau``) allowed below the upper one.  x adds to inv its
+    placed neighbours y > x: all lie in rows above, as x's row so far is a
+    chain below x.  With n cells the least free value u, whose left
+    neighbour is below it and so placed, must go into the next cell or the
+    first cell of a later row; a branch where none can take u is cut.
     """
-    n = len(m)
-    counts = [0] * (area(m) + 1)
-    fillings: list[Filling] = []
-    if any(a < 0 for a in row_lengths):
+    if tableau:
+        row_lengths, inner = check_partition(row_lengths), check_partition(inner)
+        if len(inner) > len(row_lengths) or any(b > a for a, b in zip(row_lengths, inner)):
+            raise ValueError(f"{inner} is not inside {row_lengths}")
+    counts, fillings = [0] * (area(m) + 1), []
+    bounds, left, up, later, has_corner = _diagram(row_lengths, inner, tableau)
+    size = len(left) - 1
+    if size > len(m) or (corner1 and not has_corner) or any(a < 0 for a in row_lengths):
         return counts, fillings
-    cells: list[tuple[int, int]] = []
-    bounds = []  # the range of cell indices of each row
-    for i, length in enumerate(row_lengths):
-        start = len(cells)
-        cells.extend((i, j) for j in range(inner[i] if i < len(inner) else 0, length))
-        bounds.append((start, len(cells)))
-    size = len(cells)
-    if tableau and sum(row_lengths) - sum(inner) == n and size != n:
-        raise ValueError(f"shape has {size} cells; expected {n}")
-    if size > n or (corner1 and (0, 0) not in cells):
-        return counts, fillings
+    if not size:
+        return [1] + counts[1:], [((),) * len(bounds)]
+    right_of, below_ok, higher = _value_masks(m)
+    vals = [0] * (size + 1)  # vals[-1] stays 0, the value of a missing neighbour
+    cut = size == len(m)
 
-    index = {cell: k for k, cell in enumerate(cells)}
-    left = [index.get((i, j - 1), -1) for i, j in cells]
-    up = [index.get((i - 1, j), -1) if tableau else -1 for i, j in cells]
-    # higher[x]: bitmask of the neighbours y > x, that is y in (x, m(x)].
-    higher = [0] + [sum(1 << y for y in range(x + 1, m[x - 1] + 1)) for x in range(1, n + 1)]
-    # reaching[u]: the least x with u <= m(x), the least entry allowed below u.
-    reaching = [0] + [next(x for x in range(1, n + 1) if u <= m[x - 1]) for u in range(1, n + 1)]
-    vals = [0] * size
-
-    def fill(k: int, used: int, inv: int) -> None:
-        if k == size:
-            counts[inv] += 1
-            if keep:
-                fillings.append(tuple(tuple(vals[a:b]) for a, b in bounds))
-            return
-        low = 1
-        if left[k] >= 0:
-            low = m[vals[left[k]] - 1] + 1
-        if up[k] >= 0:
-            low = max(low, reaching[vals[up[k]]])
-        high = 1 if corner1 and k == 0 else n
-        for x in range(low, high + 1):
-            if used >> x & 1:
-                continue
+    def fill(k: int, free: int, inv: int, cand: int) -> None:
+        nk = k + 1
+        lft, upc = left[nk], up[nk]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length() - 1
             vals[k] = x
-            fill(k + 1, used | 1 << x, inv + (used & higher[x]).bit_count())
+            new_inv = inv + (higher[x] & ~free).bit_count()
+            if nk == size:
+                counts[new_inv] += 1
+                if keep:
+                    fillings.append(tuple(tuple(vals[a:b]) for a, b in bounds))
+                continue
+            rest = free ^ bit
+            nxt = rest & right_of[vals[lft]] & below_ok[vals[upc]]
+            if cut and not nxt & (u := rest & -rest):
+                for a in later[nk]:
+                    if below_ok[vals[a]] & u if a < nk else rest & higher[u.bit_length() - 1]:
+                        break
+                else:
+                    continue
+            if nxt:
+                fill(nk, rest, new_inv, nxt)
 
-    fill(0, 0, 0)
+    fill(0, right_of[0], 0, 2 if corner1 else right_of[0])
     return counts, fillings
 
 
@@ -130,12 +155,7 @@ def _schur_sum(m: Hess, corner1: bool) -> SymFun:
     """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
     n = len(m)
     check_size(n)
-    coeffs = {}
-    for lam in partitions(n):
-        poly = pt_poly(m, lam, corner1=corner1)
-        if not poly.is_zero():
-            coeffs[lam] = poly
-    return SymFun(n, "s", coeffs)
+    return SymFun(n, "s", {lam: pt_poly(m, lam, corner1=corner1) for lam in partitions(n)})
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +179,6 @@ def w_shift(lam: Partition, w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lam[w[i]] + i - w[i] for i in range(len(w)))
 
 
-def _parity(w: tuple[int, ...]) -> int:
-    inv = sum(1 for a in range(len(w)) for b in range(a + 1, len(w)) if w[a] > w[b])
-    return -1 if inv % 2 else 1
-
-
 def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
     """Alternating sum of array inv-polynomials over permuted row lengths.
 
@@ -172,11 +187,8 @@ def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
     """
     total = [0] * (area(m) + 1)
     for w in permutations(range(len(lam))):
-        shape = w_shift(lam, w)
-        if any(a < 0 for a in shape):
-            continue
-        sign = _parity(w)
-        counts = _search(m, shape, (), False, corner1, keep=False)[0]
+        sign = (-1) ** sum(1 for a, b in combinations(w, 2) if a > b)
+        counts = _search(m, w_shift(lam, w), (), False, corner1, keep=False)[0]
         total = [t + sign * c for t, c in zip(total, counts)]
     return QPoly(total)
 

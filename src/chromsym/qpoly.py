@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
+from operator import mul
 
 from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
 
@@ -218,14 +220,21 @@ def q_fact(k: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> QPoly:
-    """The cyclotomic polynomial Phi_d: q**d - 1 over Phi_e for e | d, e < d."""
+    """Phi_d, the product of (q**e - 1)**mu(d/e) over e | d: the factors with
+    mu = +1 multiplied out, then each with mu = -1 divided off in place."""
     if d < 1:
         raise ValueError("cyclotomic requires d >= 1")
-    out = QPoly((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            out = out.exact_div(cyclotomic(e))
-    return out
+    ups, downs = [d], []
+    for p in [p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p))]:
+        ups, downs = ups + [e // p for e in downs], downs + [e // p for e in ups]
+    out = [1]
+    for e in ups:
+        out = [b - a for a, b in zip(out + [0] * e, [0] * e + out)]
+    for e in downs:
+        for j in range(len(out) - 1, e - 1, -1):
+            out[j - e] += out[j]
+        out = out[e:]
+    return QPoly(out)
 
 
 # A cyclotomic factorization: sorted (d, e) pairs with e > 0, standing for
@@ -488,6 +497,18 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat({self})"
+
+
+def int_combinations(rows, values: list[QRat]) -> list[QRat]:
+    """sum(row[j] * values[j]) for each integer row, as integer dot products of
+    the values' numerators put over the lcm of their denominators."""
+    exps: Exps = ()
+    for v in values:
+        exps = _exps_lcm(exps, v._exps)[0]
+    nums = ((v.num * _exps_poly(_exps_lack(exps, v._exps))).coeffs for v in values)
+    cols = list(zip_longest(*nums, fillvalue=0))
+    dots = ([sum(map(mul, row, col)) for col in cols] for row in rows)
+    return [QRat._make(*_cancel(QPoly(num), exps)) for num in dots]
 
 
 def _as_rat(x) -> QRat | None:

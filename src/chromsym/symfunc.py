@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
-from .qpoly import RAT_ONE, RAT_ZERO, QPoly, QRat
+from .qpoly import RAT_ONE, RAT_ZERO, QPoly, QRat, int_combinations
 
 BASES = ("e", "m", "s")
 
@@ -100,13 +100,9 @@ class SymFun:
         return _apply_matrix(self.to_s(), _s_to_m_matrix(self.degree), "m")
 
     def in_basis(self, basis: str) -> "SymFun":
-        if basis == "e":
-            return self.to_e()
-        if basis == "s":
-            return self.to_s()
-        if basis == "m":
-            return self.to_m()
-        raise ValueError(f"cannot convert into basis {basis!r}")
+        if basis not in BASES:
+            raise ValueError(f"cannot convert into basis {basis!r}")
+        return getattr(self, f"to_{basis}")()
 
     # --- ring structure ----------------------------------------------------
 
@@ -194,17 +190,8 @@ class SymFun:
 
 def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
     basis_list, rows = matrix
-    vec = [f.coeffs.get(lam, RAT_ZERO) for lam in basis_list]
-    out: dict[Partition, QRat] = {}
-    for i, lam in enumerate(basis_list):
-        total = RAT_ZERO
-        for j, c in enumerate(vec):
-            a = rows[i][j]
-            if a and not c.is_zero():
-                total = total + c * a
-        if not total.is_zero():
-            out[lam] = total
-    return SymFun(f.degree, target, out)
+    values = int_combinations(rows, [f.coeffs.get(lam, RAT_ZERO) for lam in basis_list])
+    return SymFun(f.degree, target, dict(zip(basis_list, values)))
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """P-tableaux, P-arrays, signed sums, and the path peel bijection."""
 
 from collections import defaultdict
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -244,3 +244,70 @@ def test_signed_pa_sum_matches_scored_arrays():
                         arrays = _inv_sum(m, enumerate_pa(m, shape, corner1))
                         expected = expected + (-1) ** inversions * arrays
                     assert signed_pa_sum(m, lam, corner1) == expected, (m, lam, corner1)
+
+
+def _by_definition(m, rows, inner=(), tableau=True):
+    """Fillings of a shape read off every injective placement of [n].
+
+    Values go into the cells in row-major order; a placement is kept when
+    each entry exceeds m of its left neighbour and, for tableaux, no entry is
+    below the one above it in the poset (m(below) < above).
+    """
+    inner = tuple(inner) + (0,) * (len(rows) - len(inner))
+    cells = [(i, j) for i, length in enumerate(rows) for j in range(inner[i], length)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    beside = [(index[i, j - 1], k) for k, (i, j) in enumerate(cells) if (i, j - 1) in index]
+    above = [(index[i - 1, j], k) for k, (i, j) in enumerate(cells) if tableau and (i - 1, j) in index]
+    out = []
+    for word in permutations(range(1, len(m) + 1), len(cells)):
+        if all(word[b] > m[word[a] - 1] for a, b in beside) and not any(
+            m[word[b] - 1] < word[a] for a, b in above
+        ):
+            letters = iter(word)
+            out.append(tuple(tuple(next(letters) for _ in range(inner[i], length)) for i, length in enumerate(rows)))
+    return out
+
+
+def _primed(fillings):
+    return [rows for rows in fillings if rows and rows[0][:1] == (1,)]
+
+
+def test_kernel_matches_fillings_by_definition():
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            shapes = [(lam, ()) for size in (n - 1, n) for lam in partitions(size)]
+            shapes += [
+                (lam, mu)
+                for j in (1, 2)
+                for lam in partitions(n + j)
+                for mu in partitions(j)
+                if _contains(lam, mu)
+            ]
+            for outer, inner in shapes:
+                every = _by_definition(m, outer, inner)
+                for corner1, want in ((False, every), (True, _primed(every) if not inner else [])):
+                    assert enumerate_pt(m, outer, inner, corner1) == tuple(want), (m, outer, inner)
+                    assert pt_poly(m, outer, inner, corner1) == _inv_sum(m, want), (m, outer, inner)
+            for lam in partitions(n):
+                for corner1 in (False, True):
+                    expected = QPoly()
+                    for w in permutations(range(len(lam))):
+                        shape = w_shift(lam, w)
+                        if min(shape) < 0:
+                            continue
+                        arrays = _by_definition(m, shape, tableau=False)
+                        arrays = _primed(arrays) if corner1 else arrays
+                        assert enumerate_pa(m, shape, corner1) == tuple(arrays), (m, shape)
+                        sign = (-1) ** sum(1 for a, b in combinations(w, 2) if a > b)
+                        expected = expected + sign * _inv_sum(m, arrays)
+                    assert signed_pa_sum(m, lam, corner1) == expected, (m, lam, corner1)
+
+
+@pytest.mark.parametrize("outer, inner", [((1,), (2,)), ((2,), (1, 1)), ((1, 2), ()), ((2, 0), ())])
+def test_shapes_that_are_not_skew_diagrams_are_refused(outer, inner):
+    with pytest.raises(ValueError):
+        pt_poly((2, 3, 3), outer, inner)
+    with pytest.raises(ValueError):
+        enumerate_pt((2, 3, 3), outer, inner)
+    # P-arrays take any weak composition
+    assert enumerate_pa((2, 3, 3), (1, 2)) == (((2,), (1, 3)),)

@@ -269,6 +269,18 @@ def test_q_int_is_the_product_of_its_cyclotomic_factors():
         assert product == q_int(k), k
 
 
+def test_cyclotomic_matches_the_recursive_definition():
+    # Phi_d = (q**d - 1) / prod of Phi_e over the proper divisors e of d
+    phi = {}
+    for d in range(1, 211):
+        out = QPoly((-1,) + (0,) * (d - 1) + (1,))
+        for e in range(1, d):
+            if d % e == 0:
+                out = out.exact_div(phi[e])
+        phi[d] = out
+        assert cyclotomic(d) == out, d
+
+
 def test_str_forms():
     assert str(q_int(3)) == "1 + q + q^2"
     assert str(QPoly()) == "0"

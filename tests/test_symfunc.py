@@ -142,3 +142,45 @@ def test_cached_symfuns_are_read_only():
         with pytest.raises(TypeError):
             engine(m).coeffs[(3,)] = QRat(0)
         assert want and engine(m).coeffs == want, engine.__name__
+
+
+def random_rational_symfun(degree, rng, basis):
+    """Coefficients over products of q-integers, so their denominators differ."""
+    coeffs = {}
+    for lam in partitions(degree):
+        if rng.random() < 0.8:
+            num = QPoly(tuple(rng.randint(-3, 3) for _ in range(3)))
+            coeffs[lam] = QRat.over_q_ints(num, [rng.randint(1, 6) for _ in range(rng.randint(0, 3))])
+    return SymFun(degree, basis, coeffs)
+
+
+def _elementwise(f, matrix):
+    """A basis change as one QRat product and sum per nonzero matrix entry."""
+    basis_list, rows = matrix
+    out = {}
+    for lam, row in zip(basis_list, rows):
+        total = QRat(0)
+        for mu, a in zip(basis_list, row):
+            if a:
+                total = total + f.coeff(mu) * a
+        if not total.is_zero():
+            out[lam] = total
+    return out
+
+
+def test_basis_changes_with_cyclotomic_denominators():
+    from chromsym.symfunc import _m_to_e_matrix, _s_to_e_matrix
+
+    rng = random.Random(11)
+    dens = set()
+    for n in range(0, 7):
+        for _ in range(3):
+            for basis, matrix in (("s", _s_to_e_matrix(n)), ("m", _m_to_e_matrix(n))):
+                f = random_rational_symfun(n, rng, basis)
+                assert dict(f.to_e().coeffs) == _elementwise(f, matrix), (n, f)
+            for basis in "esm":
+                f = random_rational_symfun(n, rng, basis)
+                dens.update(c.den for c in f.coeffs.values())
+                for via in "esm":
+                    assert dict(f.in_basis(via).in_basis(basis).coeffs) == dict(f.coeffs), (via, f)
+    assert len(dens) > 10
