@@ -6,10 +6,9 @@ output; ``--at-q`` specializes only after every exact division has happened.
 A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
-every command and every suite.  The CHROMSYM_NMAX environment variable, read
-on every call, can only lower it; a value that is not an integer is a usage
-error.  A ``--n`` or ``--m`` above the limit is refused with exit code 2
-before any work starts.  The argument parser is built once per process, on
+every command and every suite; ``compute --what rho`` counts its ``--k`` as n
+too.  A ``--n``, ``--m`` or such ``--k`` above the limit is refused with exit
+code 2 before any work starts.  The argument parser is built once per process, on
 first use.
 """
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -31,17 +29,15 @@ from .symfunc import SymFun
 
 def _check_size(args, parser: argparse.ArgumentParser) -> None:
     """Refuse a request above the size limit as a usage error."""
-    limit = MAX_N
-    env = os.environ.get("CHROMSYM_NMAX")
-    if env is not None:
-        try:
-            limit = min(limit, int(env))
-        except ValueError:
-            parser.error(f"CHROMSYM_NMAX must be an integer, got {env!r}")
-    # hess() parses --m later, so that a malformed value stays a computation error
-    n = args.n if args.command == "verify" else len((args.m or "").replace(",", " ").split())
-    if n > limit:
-        parser.error(f"n = {n} exceeds the limit {limit}")
+    if args.command == "verify":
+        n = args.n
+    else:
+        # hess() parses --m later, so that a malformed value stays a computation error
+        n = len((args.m or "").replace(",", " ").split())
+        if args.command == "compute" and args.what == "rho":
+            n = max(n, args.k or 0)
+    if n > MAX_N:
+        parser.error(f"n = {n} exceeds the limit {MAX_N}")
 
 
 def _rational(text: str) -> Fraction:

@@ -11,6 +11,9 @@ first, the rest in their original order).  They are deliberately not sorted:
 the component containing vertex 1 is distinguished, and the three functions
 of interest take different values on reorderings, e.g. already on the
 two-component unions of a single edge and an isolated vertex.
+
+E = G = S on unions of paths, so :func:`evaluate` contracts a certificate with
+one closed form, :func:`path_union_closed`, and the engines stay independent.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import DegreeMismatch, InvariantViolation, NotFlat, NotNonFlat, check_size
+from .gfunctions import path_e_closed, path_x_closed
 from .hessenberg import (
     Flat,
     Hess,
@@ -28,7 +32,6 @@ from .hessenberg import (
     classify,
     enumerate_hess,
     hess_error,
-    union_of_paths,
 )
 from .qpoly import RAT_ONE, RAT_ZERO, Q, QRat, q_int
 from .symfunc import SymFun
@@ -192,28 +195,22 @@ def check_restricted_modular_law(
     return violations
 
 
-def _base_e(key: tuple[int, ...]) -> SymFun:
-    from .transition import e_total
+@lru_cache(maxsize=None)
+def path_union_closed(key: tuple[int, ...]) -> SymFun:
+    """E = G = S on a union of paths (Shareshian-Wachs): the sum over k of
+    ``path_e_closed`` for the first component, times ``path_x_closed`` of each other."""
+    first, *rest = key
+    out = sum((path_e_closed(first, k) for k in range(1, first + 1)), SymFun.zero(first))
+    for part in rest:
+        out = out * path_x_closed(part)
+    return out
 
-    return e_total(union_of_paths(key))
 
-
-def _base_g(key: tuple[int, ...]) -> SymFun:
-    from .gfunctions import g_total
-
-    return g_total(union_of_paths(key))
-
-
-def _base_s(key: tuple[int, ...]) -> SymFun:
-    from .ptableaux import s_fun
-
-    return s_fun(union_of_paths(key)).to_e()
-
-BASES = {"E": _base_e, "G": _base_g, "S": _base_s}
+BASES = dict.fromkeys("EGS", path_union_closed)
 
 
 def evaluate(cert: Certificate, base) -> SymFun:
-    """Contract a certificate against a base function on path unions."""
+    """Contract a certificate with a base on path unions; "E", "G", "S" name the closed form."""
     if isinstance(base, str):
         base = BASES[base]
     degrees = {sum(key) for key in cert}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from operator import mul
 
 from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
@@ -501,12 +501,15 @@ class QRat:
 
 def int_combinations(rows, values: list[QRat]) -> list[QRat]:
     """sum(row[j] * values[j]) for each integer row, as integer dot products of
-    the values' numerators put over the lcm of their denominators."""
+    the values' numerators put over the lcm of their denominators, zero values skipped."""
+    keep = [not v.is_zero() for v in values]
+    values = list(compress(values, keep))
     exps: Exps = ()
     for v in values:
         exps = _exps_lcm(exps, v._exps)[0]
     nums = ((v.num * _exps_poly(_exps_lack(exps, v._exps))).coeffs for v in values)
     cols = list(zip_longest(*nums, fillvalue=0))
+    rows = (list(compress(row, keep)) for row in rows)
     dots = ([sum(map(mul, row, col)) for col in cols] for row in rows)
     return [QRat._make(*_cancel(QPoly(num), exps)) for num in dots]
 

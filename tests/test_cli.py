@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chromsym
-from chromsym import coloring, gfunctions, ptableaux, transition, verify
+from chromsym import coloring, gfunctions, modular, ptableaux, transition, verify
 from chromsym.cli import main
 from chromsym.hessenberg import enumerate_hess
 
@@ -69,9 +69,10 @@ def no_engine_runs(monkeypatch):
 
     for module, names in (
         (coloring, ["x_colorings"]),
-        (transition, ["x_from_table", "e_total", "e_part"]),
+        (transition, ["x_from_table", "e_total", "e_part", "trace"]),
         (gfunctions, ["x_cycle_sum", "g_total", "g_cap", "gfun", "rho"]),
         (ptableaux, ["x_schur", "s_fun"]),
+        (modular, ["reduce_to_paths"]),
     ):
         for name in names:
             monkeypatch.setattr(module, name, fail)
@@ -153,15 +154,13 @@ def test_verify_cap_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_cap_env_override_downward(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMSYM_NMAX", "3")
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "--what", "E", "--m", "2,3,4,4"])
-    assert exc.value.code == 2
-    monkeypatch.setenv("CHROMSYM_NMAX", "12")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "egs", "--n", "9"])
-    assert exc.value.code == 2
+def test_rho_k_above_the_limit_is_a_usage_error(no_engine_runs):
+    for k in ("9", "24"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--what", "rho", "--k", k])
+        assert exc.value.code == 2
+    with pytest.raises(EngineStarted):
+        main(["compute", "--what", "rho", "--k", "8"])
 
 
 class SuiteStarted(Exception):
@@ -188,24 +187,16 @@ def test_every_other_suite_accepts_the_shared_limit(no_suite_runs):
             main(["verify", "--suite", suite, "--n", "8"])
 
 
-def test_cap_env_lowers_every_limit(no_suite_runs, monkeypatch):
-    monkeypatch.setenv("CHROMSYM_NMAX", "3")
+def test_every_command_refuses_n_above_the_limit(no_suite_runs, no_engine_runs):
     for suite in verify.SUITES:
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", suite, "--n", "4"])
+            main(["verify", "--suite", suite, "--n", "9"])
         assert exc.value.code == 2
-    for argv in (["reduce", "--m", "2,3,4,4"], ["trace", "transition", "--m", "2,3,4,4"]):
+    m = "2,3,4,5,6,7,8,9,9"
+    for argv in (["reduce", "--m", m], ["trace", "transition", "--m", m]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-
-def test_cap_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMSYM_NMAX", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "--what", "E", "--m", "2,2"])
-    assert exc.value.code == 2
-    assert "CHROMSYM_NMAX" in capsys.readouterr().err
 
 
 def test_reduce_text_and_json(capsys):
@@ -358,7 +349,7 @@ def test_paths_witness_is_the_first_failure(monkeypatch):
 
 def run_alone(argv):
     """Exit code, stdout and stderr of one command in a fresh interpreter."""
-    env = {k: v for k, v in os.environ.items() if k != "CHROMSYM_NMAX"}
+    env = dict(os.environ)
     src = str(Path(chromsym.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -367,8 +358,7 @@ def run_alone(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_calls_in_one_process_match_calls_alone(capsys, monkeypatch):
-    monkeypatch.delenv("CHROMSYM_NMAX", raising=False)
+def test_calls_in_one_process_match_calls_alone(capsys):
     calls = [
         ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],
         ["verify", "--suite", "egs", "--n", "3"],

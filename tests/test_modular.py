@@ -1,10 +1,14 @@
 """Modular triples, the reduction algorithm, and certificate evaluation."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from chromsym import gfunctions, modular, transition
 from chromsym.errors import DegreeMismatch, NotFlat, NotNonFlat
 from chromsym.gfunctions import g_total
-from chromsym.hessenberg import area, enumerate_hess, path
+from chromsym.hessenberg import area, enumerate_hess, path, union_of_paths
 from chromsym.modular import (
     certificate_from_json,
     certificate_json,
@@ -18,8 +22,9 @@ from chromsym.modular import (
     split_flat,
     split_nonflat,
 )
+from chromsym.partitions import compositions
 from chromsym.ptableaux import s_fun
-from chromsym.qpoly import QRat
+from chromsym.qpoly import RAT_ONE, QRat
 from chromsym.symfunc import SymFun
 from chromsym.transition import e_total
 
@@ -128,12 +133,36 @@ def test_reduce_determinism():
 
 
 def test_evaluate_reduce_round_trip():
-    for n in range(1, 5):
-        for m in enumerate_hess(n):
-            cert = reduce_to_paths(m)
-            assert evaluate(cert, "E") == e_total(m), (m, "E")
-            assert evaluate(cert, "G") == g_total(m), (m, "G")
-            assert evaluate(cert, "S") == s_fun(m).to_e(), (m, "S")
+    # from cold caches, evaluating certificates runs no engine
+    engine_caches = (transition._table_raw, gfunctions._cycle_stats, gfunctions._gfuns, s_fun)
+    for cache in engine_caches + (modular.path_union_closed,):
+        cache.cache_clear()
+    ms = [m for n in range(1, 6) for m in enumerate_hess(n)]
+    values = {(m, b): evaluate(reduce_to_paths(m), b) for m in ms for b in "EGS"}
+    assert [cache.cache_info().currsize for cache in engine_caches] == [0, 0, 0, 0]
+    for m in ms:
+        direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m).to_e()}
+        assert all(values[m, b] == direct[b] for b in "EGS"), m
+
+
+def test_closed_form_matches_every_engine_on_path_unions():
+    for n in range(1, 8):
+        for key in compositions(n):
+            m = union_of_paths(key)
+            direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m).to_e()}
+            for b, value in direct.items():
+                assert evaluate({key: RAT_ONE}, b) == value, (key, b)
+
+
+def test_modular_imports_only_the_path_closed_forms():
+    tree = ast.parse(Path(modular.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)  # none inside a function
+    assert all(isinstance(node, ast.ImportFrom) for node in imports)
+    sources = {(node.module or "").split(".")[-1]: node for node in imports}
+    assert "hessenberg" in sources  # the walk does see the real imports
+    assert not sources.keys() & {"transition", "ptableaux", "coloring", "orientations"}
+    assert [a.name for a in sources["gfunctions"].names] == ["path_e_closed", "path_x_closed"]
 
 
 def test_evaluate_on_path_is_identity():
