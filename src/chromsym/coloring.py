@@ -94,9 +94,5 @@ def x_colorings(m: Hess) -> SymFun:
     """
     n = len(m)
     check_size(n)
-    coeffs = {}
-    for lam in partitions(n):
-        poly = content_coefficient(m, {i + 1: lam[i] for i in range(len(lam))})
-        if not poly.is_zero():
-            coeffs[lam] = poly
+    coeffs = {lam: content_coefficient(m, dict(enumerate(lam, 1))) for lam in partitions(n)}
     return SymFun(n, "m", coeffs)

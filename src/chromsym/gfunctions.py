@@ -158,15 +158,13 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
 
 
 def _sum(degree: int, terms: Iterable[tuple[QPoly, SymFun]]) -> SymFun:
-    """Sum of poly * f over the terms, accumulating integer q-coefficients in place.
-
-    f is in the elementary basis; a coefficient that is not a polynomial raises NotDivisible.
-    """
+    """Sum of poly * f over the terms, f in the elementary basis, accumulating
+    integer q-coefficients in place."""
     acc: dict[tuple[int, ...], list[int]] = {}
     for poly, f in terms:
         a = poly.coeffs
         for lam, c in f.coeffs.items():
-            b = c.as_poly().coeffs
+            b = c.coeffs
             row = acc.setdefault(lam, [])
             row.extend([0] * (len(a) + len(b) - 1 - len(row)))
             for i, x in enumerate(a):

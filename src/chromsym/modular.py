@@ -210,24 +210,25 @@ BASES = dict.fromkeys("EGS", path_union_closed)
 
 
 def evaluate(cert: Certificate, base) -> SymFun:
-    """Contract a certificate with a base on path unions; "E", "G", "S" name the closed form."""
+    """Contract a certificate with a base on path unions; "E", "G", "S" name the closed form.
+
+    The sum is taken over Q(q) per partition; one that leaves Z[q] raises NotDivisible.
+    """
     if isinstance(base, str):
         base = BASES[base]
     degrees = {sum(key) for key in cert}
-    if len(degrees) > 1:
-        raise DegreeMismatch(f"certificate mixes degrees {sorted(degrees)}")
-    out = None
+    if len(degrees) != 1:
+        raise DegreeMismatch(f"a certificate has one degree, not {sorted(degrees)}")
+    out: dict[tuple[int, ...], QRat] = {}
     for key, coeff in sorted(cert.items()):
         value = base(key)
         if value.degree != sum(key):
             raise DegreeMismatch(
                 f"base value for {key} has degree {value.degree}, expected {sum(key)}"
             )
-        term = coeff * value
-        out = term if out is None else out + term
-    if out is None:
-        raise DegreeMismatch("empty certificate has no degree")
-    return out
+        for lam, c in value.to_e().coeffs.items():
+            out[lam] = out.get(lam, RAT_ZERO) + coeff * c
+    return SymFun(degrees.pop(), "e", {lam: v.as_poly() for lam, v in out.items()})
 
 
 def certificate_json(m: Hess, cert: Certificate) -> dict:

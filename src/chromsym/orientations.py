@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .coloring import x_colorings
 from .errors import InvalidFilling, InvariantViolation, check_size
 from .hessenberg import Hess, edges, poset_less
 from .partitions import Partition
-from .ptableaux import Filling, entry_rows, enumerate_pt
-from .qpoly import RAT_ZERO, QPoly, QRat
+from .ptableaux import Filling, entry_rows, enumerate_pt, s_fun
+from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
 
 Orientation = frozenset[tuple[int, int]]
@@ -130,24 +131,20 @@ def sink_poly(m: Hess, thetas: tuple[Orientation, ...]) -> dict[int, QPoly]:
     return {ell: QPoly(counts) for ell, counts in out.items()}
 
 
-def length_distribution(f: SymFun) -> dict[int, QRat]:
+def length_distribution(f: SymFun) -> dict[int, QPoly]:
     """Elementary-basis coefficients of f summed by partition length."""
-    out: dict[int, QRat] = {}
+    out: dict[int, QPoly] = {}
     for lam, c in f.to_e().coeffs.items():
         ell = len(lam)
-        out[ell] = out.get(ell, RAT_ZERO) + c
+        out[ell] = out.get(ell, ZERO) + c
     return {ell: c for ell, c in out.items() if not c.is_zero()}
 
 
-def sink_distribution(m: Hess, source: str = "X") -> dict[int, QRat]:
+def sink_distribution(m: Hess, source: str = "X") -> dict[int, QPoly]:
     """Length-graded coefficient sums of X (coloring side) or S (corner side)."""
     if source == "X":
-        from .coloring import x_colorings
-
         f = x_colorings(m)
     elif source == "S":
-        from .ptableaux import s_fun
-
         f = s_fun(m)
     else:
         raise ValueError("source must be 'X' or 'S'")

@@ -2,10 +2,10 @@
 
 ``QPoly`` is a polynomial with arbitrary-precision ``int`` coefficients,
 stored in ascending degree order with trailing zeros stripped; any other
-coefficient type is refused.
+coefficient type is refused.  Symmetric functions have ``QPoly`` coefficients.
 
-Every denominator the engines build is a product of q-integers: Hikita's
-transition probabilities divide by [k]_q, and the modular law divides by
+``QRat`` is a scalar of Q(q) for the two places that divide: Hikita's
+transition probabilities divide by [k]_q, and modular-law certificates by
 1 + q.  [k]_q is the product of the cyclotomic polynomials Phi_d over the
 divisors d > 1 of k, so a ``QRat`` is an integer numerator over a product of
 Phi_d**e_d (d >= 2), stored as the exponents e_d.  Products add exponents;
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, zip_longest
-from operator import mul
 
 from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
 
@@ -497,21 +495,6 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat({self})"
-
-
-def int_combinations(rows, values: list[QRat]) -> list[QRat]:
-    """sum(row[j] * values[j]) for each integer row, as integer dot products of
-    the values' numerators put over the lcm of their denominators, zero values skipped."""
-    keep = [not v.is_zero() for v in values]
-    values = list(compress(values, keep))
-    exps: Exps = ()
-    for v in values:
-        exps = _exps_lcm(exps, v._exps)[0]
-    nums = ((v.num * _exps_poly(_exps_lack(exps, v._exps))).coeffs for v in values)
-    cols = list(zip_longest(*nums, fillvalue=0))
-    rows = (list(compress(row, keep)) for row in rows)
-    dots = ([sum(map(mul, row, col)) for col in cols] for row in rows)
-    return [QRat._make(*_cancel(QPoly(num), exps)) for num in dots]
 
 
 def _as_rat(x) -> QRat | None:

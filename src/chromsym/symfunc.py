@@ -1,9 +1,10 @@
-"""Homogeneous symmetric functions of fixed degree over Q(q).
+"""Homogeneous symmetric functions of fixed degree over Z[q].
 
-A :class:`SymFun` is a sparse map from partitions of its degree to ``QRat``
-coefficients, tagged with a basis ('e', 'm' or 's').  The elementary
-basis is the internal canonical one: products are multiset unions there, and
-the Schur and monomial views are derived through Kostka matrices, avoiding
+A :class:`SymFun` is a sparse map from partitions of its degree to ``QPoly``
+coefficients, tagged with a basis ('e', 'm' or 's'); the two places that
+divide fold their values back into Z[q] first.  The elementary basis is the
+internal canonical one: products are multiset unions there, and the Schur and
+monomial views are derived through integer Kostka matrices, avoiding
 Littlewood-Richardson entirely.  Degree-heterogeneous sums are rejected.
 A SymFun is immutable, its ``coeffs`` a read-only view, so the engines can
 hand one cached value to every caller.
@@ -13,20 +14,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, zip_longest
+from operator import mul
 from types import MappingProxyType
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
-from .qpoly import RAT_ONE, RAT_ZERO, QPoly, QRat, int_combinations
+from .qpoly import ONE, ZERO, QPoly
 
 BASES = ("e", "m", "s")
 
 
-def _coerce(c) -> QRat:
-    if isinstance(c, QRat):
+def _coerce(c) -> QPoly:
+    if isinstance(c, QPoly):
         return c
-    if isinstance(c, (QPoly, int)):
-        return QRat(c)
+    if isinstance(c, int):
+        return QPoly((c,))
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
@@ -38,7 +41,7 @@ class SymFun:
     def __init__(self, degree: int, basis: str, coeffs=None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        clean: dict[Partition, QRat] = {}
+        clean: dict[Partition, QPoly] = {}
         for lam, c in (coeffs or {}).items():
             lam = tuple(lam)
             if sum(lam) != degree:
@@ -68,7 +71,7 @@ class SymFun:
 
     @classmethod
     def one(cls) -> "SymFun":
-        return cls(0, "e", {(): RAT_ONE})
+        return cls(0, "e", {(): ONE})
 
     @classmethod
     def zero(cls, degree: int, basis: str = "e") -> "SymFun":
@@ -77,8 +80,8 @@ class SymFun:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, lam) -> QRat:
-        return self.coeffs.get(tuple(lam), RAT_ZERO)
+    def coeff(self, lam) -> QPoly:
+        return self.coeffs.get(tuple(lam), ZERO)
 
     # --- basis conversions -------------------------------------------------
 
@@ -116,7 +119,7 @@ class SymFun:
             a, b = a.to_e(), b.to_e()
         out = dict(a.coeffs)
         for lam, c in b.coeffs.items():
-            out[lam] = out.get(lam, RAT_ZERO) + c
+            out[lam] = out.get(lam, ZERO) + c
         return SymFun(a.degree, a.basis, out)
 
     def __neg__(self) -> "SymFun":
@@ -132,12 +135,12 @@ class SymFun:
     def __mul__(self, other):
         if isinstance(other, SymFun):
             a, b = self.to_e(), other.to_e()
-            out: dict[Partition, QRat] = {}
+            out: dict[Partition, QPoly] = {}
             for lam, c in a.coeffs.items():
                 for mu, d in b.coeffs.items():
                     key = tuple(sorted(lam + mu, reverse=True))
                     prod = c * d
-                    out[key] = out.get(key, RAT_ZERO) + prod
+                    out[key] = out.get(key, ZERO) + prod
             return SymFun(a.degree + b.degree, "e", out)
         return self.scaled(other)
 
@@ -157,7 +160,7 @@ class SymFun:
     # --- evaluation and predicates ------------------------------------------
 
     def at_q(self, q0) -> dict[Partition, Fraction]:
-        return {lam: c.eval_at(q0) for lam, c in self.coeffs.items()}
+        return {lam: c(q0) for lam, c in self.coeffs.items()}
 
     def is_e_positive_at_one(self) -> bool:
         """Every elementary-basis coefficient is nonnegative at q = 1."""
@@ -165,7 +168,7 @@ class SymFun:
 
     # --- serialization -------------------------------------------------------
 
-    def sorted_items(self) -> list[tuple[Partition, QRat]]:
+    def sorted_items(self) -> list[tuple[Partition, QPoly]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
     def to_json(self) -> dict:
@@ -173,7 +176,8 @@ class SymFun:
             "degree": self.degree,
             "basis": self.basis,
             "coeffs": [
-                {"partition": list(lam), **c.to_json()} for lam, c in self.sorted_items()
+                {"partition": list(lam), "num": c.to_json(), "den": ["1"]}
+                for lam, c in self.sorted_items()
             ],
         }
 
@@ -189,9 +193,15 @@ class SymFun:
 
 
 def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
+    """sum(row[j] * coefficient j) for each integer row, as one integer dot product
+    per q-degree over the columns of the nonzero coefficients."""
     basis_list, rows = matrix
-    values = int_combinations(rows, [f.coeffs.get(lam, RAT_ZERO) for lam in basis_list])
-    return SymFun(f.degree, target, dict(zip(basis_list, values)))
+    keep = [lam in f.coeffs for lam in basis_list]
+    nums = (f.coeffs[lam].coeffs for lam in compress(basis_list, keep))
+    cols = list(zip_longest(*nums, fillvalue=0))
+    rows = (list(compress(row, keep)) for row in rows)
+    dots = (QPoly([sum(map(mul, row, col)) for col in cols]) for row in rows)
+    return SymFun(f.degree, target, dict(zip(basis_list, dots)))
 
 
 @lru_cache(maxsize=None)

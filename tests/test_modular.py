@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from chromsym import gfunctions, modular, transition
-from chromsym.errors import DegreeMismatch, NotFlat, NotNonFlat
+from chromsym.errors import DegreeMismatch, NotDivisible, NotFlat, NotNonFlat
 from chromsym.gfunctions import g_total
 from chromsym.hessenberg import area, enumerate_hess, path, union_of_paths
 from chromsym.modular import (
@@ -24,7 +24,7 @@ from chromsym.modular import (
 )
 from chromsym.partitions import compositions
 from chromsym.ptableaux import s_fun
-from chromsym.qpoly import RAT_ONE, QRat
+from chromsym.qpoly import ONE, RAT_ONE, QRat, q_int
 from chromsym.symfunc import SymFun
 from chromsym.transition import e_total
 
@@ -165,12 +165,6 @@ def test_modular_imports_only_the_path_closed_forms():
     assert [a.name for a in sources["gfunctions"].names] == ["path_e_closed", "path_x_closed"]
 
 
-def test_evaluate_on_path_is_identity():
-    for n in range(1, 6):
-        cert = reduce_to_paths(path(n))
-        assert evaluate(cert, "E") == e_total(path(n))
-
-
 def test_order_of_components_is_significant():
     # the one-edge-plus-isolated-vertex unions in the two orders
     assert e_total((1, 3, 3)) != e_total((2, 2, 3))
@@ -183,6 +177,15 @@ def test_evaluate_degree_mismatch():
         evaluate(cert, "E")
     with pytest.raises(DegreeMismatch):
         evaluate({(2,): QRat(1)}, lambda key: SymFun.one())
+    with pytest.raises(DegreeMismatch):
+        evaluate({}, "E")
+
+
+def test_evaluate_refuses_a_value_outside_polynomials():
+    # the contraction is taken over Q(q) and must land in Z[q]
+    with pytest.raises(NotDivisible):
+        evaluate({(1,): QRat(ONE, q_int(2))}, "E")
+    assert evaluate({(1,): QRat(q_int(2), q_int(2))}, "E") == SymFun.e_term((1,))
 
 
 def test_checker_passes_for_s_small():
