@@ -7,9 +7,9 @@ A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite; ``compute --what rho`` counts its ``--k`` as n
-too.  A ``--n``, ``--m`` or such ``--k`` above the limit is refused with exit
-code 2 before any work starts.  The argument parser is built once per process, on
-first use.
+too.  A ``--n``, ``--m`` or such ``--k`` above the limit, or a ``--n`` below 1,
+is refused with exit code 2 before any work starts.  The argument parser is
+built once per process, on first use.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .symfunc import SymFun
 
 
 def _check_size(args, parser: argparse.ArgumentParser) -> None:
-    """Refuse a request above the size limit as a usage error."""
+    """Refuse a request above the size limit, or a suite below n = 1, as a usage error."""
     if args.command == "verify":
         n = args.n
+        if n < 1:
+            parser.error(f"--n = {n} is below 1")
     else:
         # hess() parses --m later, so that a malformed value stays a computation error
         n = len((args.m or "").replace(",", " ").split())

@@ -24,10 +24,6 @@ class InvariantViolation(ArithmeticError):
     """
 
 
-class PoleAtPoint(ZeroDivisionError):
-    """Raised when a rational function is evaluated at a root of its denominator."""
-
-
 class SizeMismatch(ValueError):
     """Raised when a partition and a content vector have different sizes."""
 

@@ -12,19 +12,21 @@ themselves, keeping weight and cycle sizes as it goes, and never forms sigma;
 :func:`bounded_permutations`, :func:`cycle_word` and :func:`wt` state the
 definition directly.  Every ``gfun(m, k)``, ``g_cap`` and ``g_total`` is built
 once per m, adding up the signed products h_d * omega(rho_mu), which are
-cached by (d, mu), into integer q-coefficients in place.
+cached by (d, mu), with :func:`chromsym.symfunc.combination`, which
+accumulates their integer q-coefficients in place.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, reduce
+from operator import mul
+from typing import Iterator
 
 from .errors import check_size
 from .hessenberg import Hess, edges
 from .partitions import compositions
 from .qpoly import ONE, QPoly, q_int
-from .symfunc import SymFun, h_to_e, omega
+from .symfunc import SymFun, combination, h_to_e, omega
 
 Perm = tuple[int, ...]
 
@@ -98,10 +100,8 @@ def rho(k: int) -> SymFun:
         raise ValueError("rho requires k >= 0")
     if k == 0:
         return SymFun.one()
-    out = q_int(k) * h_to_e(k)
-    for i in range(1, k):
-        out = out - h_to_e(k - i) * rho(i)
-    return out
+    lower = ((-1, h_to_e(k - i) * rho(i)) for i in range(1, k))
+    return combination(k, [(q_int(k), h_to_e(k)), *lower])
 
 
 @lru_cache(maxsize=None)
@@ -157,29 +157,13 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
     return -term if d % 2 else term
 
 
-def _sum(degree: int, terms: Iterable[tuple[QPoly, SymFun]]) -> SymFun:
-    """Sum of poly * f over the terms, f in the elementary basis, accumulating
-    integer q-coefficients in place."""
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for poly, f in terms:
-        a = poly.coeffs
-        for lam, c in f.coeffs.items():
-            b = c.coeffs
-            row = acc.setdefault(lam, [])
-            row.extend([0] * (len(a) + len(b) - 1 - len(row)))
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    row[i + j] += x * y
-    return SymFun(degree, "e", {lam: QPoly(row) for lam, row in acc.items()})
-
-
 @lru_cache(maxsize=None)
 def _gfuns(m: Hess) -> tuple[SymFun, ...]:
     """gfun(m, k) for every k in [0, n): first cycles of size t1 >= n - k, d = t1 - (n - k)."""
     n = len(m)
     stats = _cycle_stats(m).items()
     return tuple(
-        _sum(k, ((poly, _term(k - n + t1, rest)) for (t1, rest), poly in stats if t1 >= n - k))
+        combination(k, ((c, _term(k - n + t1, rest)) for (t1, rest), c in stats if t1 >= n - k))
         for k in range(n)
     )
 
@@ -213,14 +197,14 @@ def _g_caps(m: Hess) -> tuple[SymFun, ...]:
     """g_cap(m, k) for k = 1, ..., n, each product formed once, then their sum."""
     n = len(m)
     caps = [SymFun.e_term((k,)) * gfun(m, n - k) for k in range(1, n + 1)]
-    return (*caps, sum(caps, SymFun.zero(n)))
+    return (*caps, combination(n, ((1, cap) for cap in caps)))
 
 
 @lru_cache(maxsize=None)
 def x_cycle_sum(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function as a full cycle-type sum."""
     stats = _cycle_stats(m).items()
-    return _sum(len(m), ((poly, _omega_rho_product((t1,) + rest)) for (t1, rest), poly in stats))
+    return combination(len(m), ((c, _omega_rho_product((t1,) + rest)) for (t1, rest), c in stats))
 
 
 @lru_cache(maxsize=None)
@@ -230,14 +214,11 @@ def closed_g(degree: int) -> SymFun:
     Equals gfun(path(n), degree) for any path length n > degree; this is a
     path-only identity, not valid for general m.
     """
-    out = SymFun.zero(degree)
-    for alpha in compositions(degree):
-        coeff = ONE
-        for part in alpha:
-            coeff = coeff * (q_int(part) - ONE)
-        if not coeff.is_zero():
-            out = out + coeff * SymFun.e_term(alpha)
-    return out
+    terms = (
+        (reduce(mul, (q_int(part) - ONE for part in alpha), ONE), SymFun.e_term(alpha))
+        for alpha in compositions(degree)
+    )
+    return combination(degree, terms)
 
 
 def path_e_closed(n: int, k: int) -> SymFun:
@@ -247,7 +228,4 @@ def path_e_closed(n: int, k: int) -> SymFun:
 
 def path_x_closed(n: int) -> SymFun:
     """Closed form of the chromatic quasisymmetric function of the path."""
-    out = SymFun.zero(n)
-    for k in range(1, n + 1):
-        out = out + q_int(k) * path_e_closed(n, k)
-    return out
+    return combination(n, ((q_int(k), path_e_closed(n, k)) for k in range(1, n + 1)))

@@ -66,12 +66,6 @@ def hsum(m1: Hess, m2: Hess) -> Hess:
     return m1 + tuple(v + n1 for v in m2)
 
 
-def wedge(m1: Hess, m2: Hess) -> Hess:
-    """Glue the last vertex of m1 onto the first vertex of m2."""
-    n1 = len(m1)
-    return m1[: n1 - 1] + tuple(v + n1 - 1 for v in m2)
-
-
 def path(n: int) -> Hess:
     """The Hessenberg function whose graph is the path on n vertices."""
     if n < 1:
@@ -79,13 +73,6 @@ def path(n: int) -> Hess:
     if n == 1:
         return (1,)
     return tuple(range(2, n + 1)) + (n,)
-
-
-def union_of_paths(lengths) -> Hess:
-    m: Hess = ()
-    for k in lengths:
-        m = hsum(m, path(k)) if m else path(k)
-    return m
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ from .hessenberg import (
     hess_error,
 )
 from .qpoly import RAT_ONE, RAT_ZERO, Q, QRat, q_int
-from .symfunc import SymFun
+from .symfunc import SymFun, combination
 
 Certificate = Mapping[tuple[int, ...], QRat]
 Triple = tuple[Hess, Hess, Hess, int]
@@ -177,7 +177,8 @@ def reduce_to_paths(m: Hess) -> Certificate:
 def law_defect(f: Callable[[Hess], SymFun], triple: Triple) -> SymFun:
     """(1+q) f(m') - q f(m) - f(m''); zero exactly when the law holds."""
     m, mp, mpp, _ = triple
-    return _ONE_PLUS_Q * f(mp) - Q * f(m) - f(mpp)
+    middle = f(mp)
+    return combination(middle.degree, ((_ONE_PLUS_Q, middle), (-Q, f(m)), (-1, f(mpp))))
 
 
 def check_restricted_modular_law(
@@ -200,7 +201,7 @@ def path_union_closed(key: tuple[int, ...]) -> SymFun:
     """E = G = S on a union of paths (Shareshian-Wachs): the sum over k of
     ``path_e_closed`` for the first component, times ``path_x_closed`` of each other."""
     first, *rest = key
-    out = sum((path_e_closed(first, k) for k in range(1, first + 1)), SymFun.zero(first))
+    out = combination(first, ((1, path_e_closed(first, k)) for k in range(1, first + 1)))
     for part in rest:
         out = out * path_x_closed(part)
     return out

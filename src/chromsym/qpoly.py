@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotCyclotomic, NotDivisible, PoleAtPoint
+from .errors import NotCyclotomic, NotDivisible
 
 
 class QPoly:
@@ -470,13 +470,6 @@ class QRat:
         return QRat._make(a * b, _exps_add(exps_a, exps_b))
 
     __rmul__ = __mul__
-
-    def eval_at(self, q0: int | Fraction) -> Fraction:
-        """Exact value at q = q0; raises :class:`PoleAtPoint` on a pole."""
-        d = self.den(q0)
-        if d == 0:
-            raise PoleAtPoint(f"pole at q = {q0}")
-        return Fraction(self.num(q0)) / d
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

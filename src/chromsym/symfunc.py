@@ -5,7 +5,9 @@ coefficients, tagged with a basis ('e', 'm' or 's'); the two places that
 divide fold their values back into Z[q] first.  The elementary basis is the
 internal canonical one: products are multiset unions there, and the Schur and
 monomial views are derived through integer Kostka matrices, avoiding
-Littlewood-Richardson entirely.  Degree-heterogeneous sums are rejected.
+Littlewood-Richardson entirely.  Every sum, ``+`` included, is taken by
+:func:`combination`, which like products accumulates integer q-coefficient
+lists in place, builds one SymFun, and rejects degree-heterogeneous terms.
 A SymFun is immutable, its ``coeffs`` a read-only view, so the engines can
 hand one cached value to every caller.
 """
@@ -13,7 +15,7 @@ hand one cached value to every caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, zip_longest
 from operator import mul
 from types import MappingProxyType
@@ -112,15 +114,7 @@ class SymFun:
     def __add__(self, other: "SymFun") -> "SymFun":
         if not isinstance(other, SymFun):
             return NotImplemented
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} + degree {other.degree}")
-        a, b = self, other
-        if a.basis != b.basis:
-            a, b = a.to_e(), b.to_e()
-        out = dict(a.coeffs)
-        for lam, c in b.coeffs.items():
-            out[lam] = out.get(lam, ZERO) + c
-        return SymFun(a.degree, a.basis, out)
+        return combination(self.degree, ((1, self), (1, other)))
 
     def __neg__(self) -> "SymFun":
         return SymFun(self.degree, self.basis, {lam: -c for lam, c in self.coeffs.items()})
@@ -135,13 +129,12 @@ class SymFun:
     def __mul__(self, other):
         if isinstance(other, SymFun):
             a, b = self.to_e(), other.to_e()
-            out: dict[Partition, QPoly] = {}
+            rows: dict[Partition, list[int]] = {}
             for lam, c in a.coeffs.items():
                 for mu, d in b.coeffs.items():
                     key = tuple(sorted(lam + mu, reverse=True))
-                    prod = c * d
-                    out[key] = out.get(key, ZERO) + prod
-            return SymFun(a.degree + b.degree, "e", out)
+                    _add_product(rows.setdefault(key, []), c.coeffs, d.coeffs)
+            return _from_rows(a.degree + b.degree, rows)
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -190,6 +183,36 @@ class SymFun:
 
     def __repr__(self) -> str:
         return f"SymFun({self})"
+
+
+def _add_product(row: list[int], a, b) -> None:
+    """row += a * b, all three integer q-coefficient lists, in place."""
+    row.extend([0] * (len(a) + len(b) - 1 - len(row)))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            row[i + j] += x * y
+
+
+def _from_rows(degree: int, rows: dict[Partition, list[int]]) -> SymFun:
+    return SymFun(degree, "e", {lam: QPoly(row) for lam, row in rows.items()})
+
+
+def combination(degree: int, terms) -> SymFun:
+    """The sum of c * f over the (c, f) pairs of ``terms``, in the elementary basis.
+
+    Each c is an int or a QPoly and each f, in any basis, is taken through
+    ``to_e``; the integer q-coefficients are accumulated in place and one
+    SymFun is built.  A term of another degree, a zero one included, raises
+    :class:`DegreeMismatch`.
+    """
+    rows: dict[Partition, list[int]] = {}
+    for c, f in terms:
+        if f.degree != degree:
+            raise DegreeMismatch(f"degree {f.degree} term in a sum of degree {degree}")
+        a = _coerce(c).coeffs
+        for lam, v in f.to_e().coeffs.items():
+            _add_product(rows.setdefault(lam, []), a, v.coeffs)
+    return _from_rows(degree, rows)
 
 
 def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
@@ -260,21 +283,12 @@ def h_to_e(n: int) -> SymFun:
     """
     if n == 0:
         return SymFun.one()
-    out = SymFun.zero(n)
-    sign = 1
-    for i in range(1, n + 1):
-        out = out + sign * (SymFun.e_term((i,)) * h_to_e(n - i))
-        sign = -sign
-    return out
+    terms = (((-1) ** (i - 1), SymFun.e_term((i,)) * h_to_e(n - i)) for i in range(1, n + 1))
+    return combination(n, terms)
 
 
 def omega(f: SymFun) -> SymFun:
     """The classical involution sending h to e (and hence e to h)."""
     f = f.to_e()
-    out = SymFun.zero(f.degree)
-    for lam, c in f.coeffs.items():
-        prod = SymFun.one()
-        for part in lam:
-            prod = prod * h_to_e(part)
-        out = out + c * prod
-    return out
+    terms = ((c, reduce(mul, map(h_to_e, lam), SymFun.one())) for lam, c in f.coeffs.items())
+    return combination(f.degree, terms)

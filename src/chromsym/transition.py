@@ -28,7 +28,7 @@ from .errors import InvariantViolation, check_size
 from .hessenberg import Hess, area
 from .partitions import Partition, Tableau, entry_column, shape_of
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_fact, q_int
-from .symfunc import SymFun
+from .symfunc import SymFun, combination
 
 Runs = tuple[int, tuple[tuple[int, int], ...], int]
 
@@ -152,7 +152,8 @@ def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Ta
                 weight = _weight_runs(runs, k, modified)
                 child = insert_at_column(tab, insertion_column(runs, k))
                 contrib = value * weight
-                new[child] = new[child] + contrib if child in new else contrib
+                # a child's one parent is itself less its largest entry; the column grows with k
+                new[child] = contrib
                 if records is not None:
                     records.append(
                         {
@@ -248,19 +249,14 @@ def e_part(m: Hess, k: int) -> SymFun:
 def e_total(m: Hess) -> SymFun:
     """Sum of the refinements over all columns k."""
     n = len(m)
-    out = SymFun.zero(n)
-    for k in range(1, n + 1):
-        out = out + e_part(m, k)
-    return out
+    return combination(n, ((1, e_part(m, k)) for k in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
 def x_from_table(m: Hess) -> SymFun:
-    """The chromatic quasisymmetric function from the probability table."""
-    coeffs: dict[Partition, QPoly] = {}
-    for (lam, _), c in _c_polys(m).items():
-        coeffs[lam] = coeffs[lam] + c if lam in coeffs else c
-    return SymFun(len(m), "e", coeffs)
+    """X from the probability table: the sum over k of [k]_q times ``e_part(m, k)``."""
+    n = len(m)
+    return combination(n, ((q_int(k), e_part(m, k)) for k in range(1, n + 1)))
 
 
 def trace(m: Hess) -> list[dict]:

@@ -21,7 +21,7 @@ from . import coloring, gfunctions, modular, orientations, ptableaux, transition
 from .hessenberg import Hess, enumerate_hess, path
 from .partitions import all_syt, partitions, vertical_strips
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_int
-from .symfunc import SymFun
+from .symfunc import combination
 
 
 def _run(suite: str, n_max: int, groups) -> dict:
@@ -69,8 +69,8 @@ def suite_x_all(n_max: int) -> dict:
     """Four computations of the chromatic quasisymmetric function agree."""
 
     def decomposition(m):
-        terms = (q_int(k) * gfunctions.g_cap(m, k) for k in range(1, len(m) + 1))
-        return sum(terms, SymFun.zero(len(m)))
+        n = len(m)
+        return combination(n, ((q_int(k), gfunctions.g_cap(m, k)) for k in range(1, n + 1)))
 
     engines = {
         "transition": transition.x_from_table,

@@ -199,6 +199,14 @@ def test_every_command_refuses_n_above_the_limit(no_suite_runs, no_engine_runs):
         assert exc.value.code == 2
 
 
+def test_verify_refuses_n_below_one(no_suite_runs):
+    for suite in verify.SUITES:
+        for n in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", suite, "--n", n])
+            assert exc.value.code == 2
+
+
 def test_reduce_text_and_json(capsys):
     code, out, _ = run(capsys, "reduce", "--m", "2,3,4,5,5")
     assert code == 0

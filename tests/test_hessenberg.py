@@ -15,8 +15,6 @@ from chromsym.hessenberg import (
     path,
     path_components,
     poset_less,
-    union_of_paths,
-    wedge,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -63,13 +61,10 @@ def test_edges_and_poset():
         poset_less(m, 0, 3)
 
 
-def test_sum_and_wedge():
+def test_hsum_examples():
     assert hsum(path(1), path(2)) == (1, 3, 3)
-    assert wedge((2, 2), path(2)) == (2, 3, 3) == path(3)
     m = (2, 3, 3)
     assert hsum(m, (1,)) == (2, 3, 3, 4)
-    for n in range(2, 7):
-        assert wedge((2, 2), path(n)) == path(n + 1)
 
 
 def test_sum_edge_disjointness():
@@ -89,7 +84,6 @@ def test_path_components():
     assert path_components((1, 3, 3)) == (1, 2)
     assert path_components((3, 3, 3)) is None
     assert path_components(path(6)) == (6,)
-    assert union_of_paths((1, 2)) == (1, 3, 3)
 
 
 def test_enumerate_counts():

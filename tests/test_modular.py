@@ -1,6 +1,7 @@
 """Modular triples, the reduction algorithm, and certificate evaluation."""
 
 import ast
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from chromsym import gfunctions, modular, transition
 from chromsym.errors import DegreeMismatch, NotDivisible, NotFlat, NotNonFlat
 from chromsym.gfunctions import g_total
-from chromsym.hessenberg import area, enumerate_hess, path, union_of_paths
+from chromsym.hessenberg import area, enumerate_hess, hsum, path
 from chromsym.modular import (
     certificate_from_json,
     certificate_json,
@@ -148,7 +149,7 @@ def test_evaluate_reduce_round_trip():
 def test_closed_form_matches_every_engine_on_path_unions():
     for n in range(1, 8):
         for key in compositions(n):
-            m = union_of_paths(key)
+            m = reduce(hsum, map(path, key))
             direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m).to_e()}
             for b, value in direct.items():
                 assert evaluate({key: RAT_ONE}, b) == value, (key, b)

@@ -7,12 +7,12 @@ import pytest
 from chromsym.coloring import x_colorings
 from chromsym.errors import DegreeMismatch
 from chromsym.gfunctions import g_total, gfun, x_cycle_sum
-from chromsym.hessenberg import enumerate_hess
-from chromsym.modular import evaluate, reduce_to_paths
+from chromsym.hessenberg import area, enumerate_hess
+from chromsym.modular import enumerate_triples, evaluate, law_defect, reduce_to_paths
 from chromsym.partitions import partitions
-from chromsym.qpoly import ONE, Q, QPoly, QRat, q_int
+from chromsym.qpoly import ONE, Q, ZERO, QPoly, QRat, q_int
 from chromsym.ptableaux import s_fun, x_schur
-from chromsym.symfunc import SymFun, h_to_e, omega
+from chromsym.symfunc import SymFun, combination, h_to_e, omega
 from chromsym.transition import e_total, x_from_table
 
 
@@ -120,6 +120,42 @@ def test_degree_mismatch_rejected():
         SymFun.e_term((2,)) + SymFun.e_term((1,))
     with pytest.raises(DegreeMismatch):
         SymFun(2, "e", {(1,): QRat(1)})
+
+
+def test_combination_matches_the_fold_of_scaled_and_add():
+    rng = random.Random(5)
+    scalars = (0, 1, -2, ZERO, Q, QPoly((1, -1, 2)))
+    for n in range(0, 6):
+        for _ in range(6):
+            terms = [
+                (rng.choice(scalars), random_symfun(n, rng, rng.choice("esm")))
+                for _ in range(rng.randint(1, 4))
+            ]
+            fold, want = SymFun.zero(n), {}
+            for c, f in terms:
+                fold = fold + f.scaled(c)
+                for lam, v in f.to_e().coeffs.items():
+                    want[lam] = want.get(lam, ZERO) + v * c
+            got = combination(n, terms)
+            assert got.basis == "e" and got == fold, terms
+            # `+` sums through combination too, so the reference is QPoly arithmetic
+            assert dict(got.coeffs) == {lam: v for lam, v in want.items() if v}, terms
+        assert combination(n, []) == SymFun.zero(n)
+
+
+def test_combination_refuses_a_term_of_another_degree():
+    e2 = SymFun.e_term((2,))
+    for term in ((1, SymFun.e_term((1,))), (0, SymFun.e_term((3,))), (Q, SymFun.zero(3))):
+        with pytest.raises(DegreeMismatch):
+            combination(2, [(1, e2), term])
+    with pytest.raises(TypeError):
+        combination(2, [(QRat(ONE, q_int(2)), e2)])
+
+
+def test_law_defect_refuses_values_of_mixed_degree():
+    triple = enumerate_triples(3, "I")[0]
+    with pytest.raises(DegreeMismatch):
+        law_defect(lambda m: SymFun.zero(area(m)), triple)
 
 
 def test_e_positivity_predicate():

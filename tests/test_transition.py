@@ -103,7 +103,7 @@ def test_probabilities_lie_in_unit_interval_at_one():
     for n in range(1, 5):
         for m in enumerate_hess(n):
             for value in p_table(m).values():
-                x = value.eval_at(1)
+                x = value.num(1) / value.den(1)
                 assert Fraction(0) <= x <= Fraction(1)
 
 
