@@ -5,6 +5,8 @@ A function f on Hessenberg functions satisfies the restricted modular law if
 triple with index i != 1.  Any such f is determined by its values on
 disjoint unions of paths; :func:`reduce_to_paths` makes that effective by
 emitting a certificate mapping path decompositions to Q(q) coefficients.
+Each step multiplies by 1 + q, -q, 1 or +-q/(1+q), so every coefficient is an
+integer numerator over a power of 1 + q, and certificates are summed as such.
 
 Certificate keys are the component sizes in vertex order (first component
 first, the rest in their original order).  They are deliberately not sorted:
@@ -19,6 +21,7 @@ one closed form, :func:`path_union_closed`, and the engines stay independent.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -138,13 +141,24 @@ def split_nonflat(m: Hess) -> tuple[Hess, Hess, Hess]:
     return m0, m0_1, m_1
 
 
-def _merge(target: dict, source: Certificate, factor: QRat) -> None:
-    for key, coeff in source.items():
-        value = target.get(key, RAT_ZERO) + factor * coeff
-        if value.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = value
+def _combine(terms: tuple[tuple[int, int, int, Hess], ...]) -> Certificate:
+    """The sum of sign * q**shift * (1+q)**t * reduce_to_paths(child) over
+    (sign, shift, t, child).  Each key's terms are put over the least power
+    (1+q)**top they share, summed as integers, and put into canonical form once."""
+    certs = [(sign, shift, t, reduce_to_paths(child)) for sign, shift, t, child in terms]
+    tops: dict[tuple[int, ...], int] = {}
+    for _, _, t, cert in certs:
+        for key, c in cert.items():
+            tops[key] = max(tops.get(key, 0), c.den.degree - t)
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for sign, shift, t, cert in certs:
+        for key, c in cert.items():
+            num = [0] * shift + [sign * a for a in c.num.coeffs]
+            for _ in range(tops[key] + t - c.den.degree):
+                num = [a + b for a, b in zip(num + [0], [0] + num)]
+            acc[key] = [a + b for a, b in zip_longest(acc.get(key, ()), num, fillvalue=0)]
+    values = ((key, QRat.over_one_plus_q(coeffs, tops[key])) for key, coeffs in acc.items())
+    return MappingProxyType({key: value for key, value in values if value})
 
 
 @lru_cache(maxsize=None)
@@ -160,18 +174,11 @@ def reduce_to_paths(m: Hess) -> Certificate:
     shape = classify(m)
     if isinstance(shape, UnionOfPaths):
         return MappingProxyType({shape.parts: RAT_ONE})
-    out: dict[tuple[int, ...], QRat] = {}
-    if isinstance(shape, Flat):
+    if isinstance(shape, Flat):  # f(m) = (1+q) f(m1) - q f(m0)
         m0, m1 = split_flat(m)
-        _merge(out, reduce_to_paths(m1), QRat(_ONE_PLUS_Q))
-        _merge(out, reduce_to_paths(m0), QRat(-Q))
-    else:
-        m0, m0_1, m_1 = split_nonflat(m)
-        ratio = QRat(Q, _ONE_PLUS_Q)
-        _merge(out, reduce_to_paths(m_1), QRat(1))
-        _merge(out, reduce_to_paths(m0), ratio)
-        _merge(out, reduce_to_paths(m0_1), -ratio)
-    return MappingProxyType(out)
+        return _combine(((1, 0, 1, m1), (-1, 1, 0, m0)))
+    m0, m0_1, m_1 = split_nonflat(m)  # f(m) = f(m_1) + q/(1+q) (f(m0) - f(m0_1))
+    return _combine(((1, 0, 0, m_1), (1, 1, -1, m0), (-1, 1, -1, m0_1)))
 
 
 def law_defect(f: Callable[[Hess], SymFun], triple: Triple) -> SymFun:

@@ -409,6 +409,17 @@ class QRat:
             exps = _exps_add(exps, _q_int_exps(k))
         return cls._make(*_cancel(num, exps))
 
+    @classmethod
+    def over_one_plus_q(cls, coeffs: list[int], e: int) -> "QRat":
+        """The integers coeffs (ascending) over (1+q)**e, each factor 1 + q of
+        the numerator cancelled by synthetic division while v(-1) = 0."""
+        while e and sum(coeffs[::2]) == sum(coeffs[1::2]):
+            acc = 0
+            coeffs = [acc := c - acc for c in coeffs[:-1]]
+            e -= 1
+        num = QPoly(coeffs)
+        return cls._make(num, ((2, e),) if e and num else ())
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

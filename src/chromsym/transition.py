@@ -15,9 +15,9 @@ coefficients extracted at the end must be polynomials; ``as_poly`` raises
 :class:`NotDivisible` when one is not, which doubles as a polynomiality check.
 
 The graded pieces are computed in one pass per m: the probability table is
-grouped once by (shape, column of the largest entry), and ``c_poly``,
-``e_part`` (every column k), ``e_total`` and ``x_from_table`` all read that
-grouping.
+grouped once by (shape, column of the largest entry), every E_k is formed
+from that grouping once and cached, and ``c_poly``, ``e_part``, ``e_total``
+and ``x_from_table`` all read those.
 """
 
 from __future__ import annotations
@@ -219,7 +219,6 @@ def _row_factorials_times(lam: Partition, tabs) -> QPoly:
     return total.as_poly()
 
 
-@lru_cache(maxsize=None)
 def _c_polys(m: Hess) -> dict[tuple[Partition, int], QPoly]:
     """Every c_poly of m, keyed by (shape, column of n), from one pass over
     the probability table."""
@@ -235,28 +234,33 @@ def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:
     of shape lam whose largest entry sits in column k.  Always a polynomial;
     a failed division here would falsify that claim and raises NotDivisible.
     """
-    return _c_polys(m).get((lam, k), QPoly())
+    c = e_part(m, k).coeff(lam)
+    return c * q_int(k) if c else c
 
 
 def e_part(m: Hess, k: int) -> SymFun:
-    """Degree-n refinement indexed by the column k of the largest entry;
-    zero for k outside [1, n]."""
-    coeffs = {lam: c.exact_div(q_int(k)) for (lam, col), c in _c_polys(m).items() if col == k}
-    return SymFun(len(m), "e", coeffs)
+    """E_k, the refinement by the column k of the largest entry; zero for k outside [1, n]."""
+    return _e_parts(m)[k - 1] if 1 <= k <= len(m) else SymFun.zero(len(m))
 
 
 @lru_cache(maxsize=None)
+def _e_parts(m: Hess) -> tuple[SymFun, ...]:
+    """e_part(m, k) for k = 1, ..., n, so every E_k is formed once per m."""
+    polys = _c_polys(m).items()
+    return tuple(
+        SymFun(len(m), "e", {lam: c.exact_div(q_int(k)) for (lam, col), c in polys if col == k})
+        for k in range(1, len(m) + 1)
+    )
+
+
 def e_total(m: Hess) -> SymFun:
     """Sum of the refinements over all columns k."""
-    n = len(m)
-    return combination(n, ((1, e_part(m, k)) for k in range(1, n + 1)))
+    return combination(len(m), ((1, part) for part in _e_parts(m)))
 
 
-@lru_cache(maxsize=None)
 def x_from_table(m: Hess) -> SymFun:
     """X from the probability table: the sum over k of [k]_q times ``e_part(m, k)``."""
-    n = len(m)
-    return combination(n, ((q_int(k), e_part(m, k)) for k in range(1, n + 1)))
+    return combination(len(m), ((q_int(k), part) for k, part in enumerate(_e_parts(m), 1)))
 
 
 def trace(m: Hess) -> list[dict]:

@@ -1,6 +1,8 @@
 """Modular triples, the reduction algorithm, and certificate evaluation."""
 
 import ast
+import hashlib
+import json
 from functools import reduce
 from pathlib import Path
 
@@ -107,6 +109,38 @@ def test_reduce_flat_merges_children():
     assert combined == reduce_to_paths(m)
 
 
+def test_reduce_nonflat_merges_children():
+    m = (2, 4, 4, 5, 5)
+    m0, m0_1, m_1 = split_nonflat(m)
+    from chromsym.qpoly import Q
+
+    ratio = QRat(Q, q_int(2))
+    combined = {}
+    for child, factor in ((m_1, QRat(1)), (m0, ratio), (m0_1, -ratio)):
+        for key, c in reduce_to_paths(child).items():
+            combined[key] = combined.get(key, QRat(0)) + factor * c
+    combined = {k: v for k, v in combined.items() if not v.is_zero()}
+    assert combined == reduce_to_paths(m)
+    assert any(not c.den.is_one() for c in combined.values())
+
+
+def test_every_certificate_denominator_is_a_power_of_one_plus_q():
+    for n in range(1, 8):
+        for m in enumerate_hess(n):
+            for c in reduce_to_paths(m).values():
+                assert c.den == q_int(2) ** c.den.degree, (m, c)
+
+
+def test_certificate_bytes_are_pinned():
+    # SHA-256 of the certificate JSON of every m with n <= 7, in enumeration order
+    digest = hashlib.sha256()
+    ms = [m for n in range(1, 8) for m in enumerate_hess(n)]
+    for m in ms:
+        digest.update(json.dumps(certificate_json(m, reduce_to_paths(m))).encode())
+    assert len(ms) == 625
+    assert digest.hexdigest() == "6aaa664b2293c4bd2c9a0a0cbac714bcd0b83ee5a731cd8da19555141a0d951d"
+
+
 def test_reduce_result_is_read_only():
     m = (3, 4, 4, 5, 5)
     cert = reduce_to_paths(m)
@@ -164,6 +198,8 @@ def test_modular_imports_only_the_path_closed_forms():
     assert "hessenberg" in sources  # the walk does see the real imports
     assert not sources.keys() & {"transition", "ptableaux", "coloring", "orientations"}
     assert [a.name for a in sources["gfunctions"].names] == ["path_e_closed", "path_x_closed"]
+    private = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr[0] == "_"]
+    assert private == []  # QRat is read through its public fields and constructors
 
 
 def test_order_of_components_is_significant():

@@ -250,6 +250,16 @@ def test_over_q_ints_matches_euclidean_reduction(a, ks):
     assert fields(QRat.over_q_ints(a, ks)) == euclid(a, den)
 
 
+@settings(deadline=None)
+@given(numerators, st.integers(0, 4), st.integers(0, 8), st.integers(0, 2))
+def test_over_one_plus_q_matches_the_constructor(w, j, e, zeros):
+    # v is w times (1+q)**j, so up to j factors cancel, padded with trailing zeros
+    v = list((w * q_int(2) ** j).coeffs) + [0] * zeros
+    expected = QRat(QPoly(v), q_int(2) ** e)
+    value = QRat.over_one_plus_q(v, e)
+    assert (value.num, value.den) == (expected.num, expected.den)
+
+
 @given(numerators, denominators(), st.sampled_from((Q, Q - 1, Q - 2, QPoly((2,)), Q * Q + 1 + Q * 3)))
 def test_a_non_cyclotomic_factor_is_refused(a, den, bad):
     with pytest.raises(NotCyclotomic):

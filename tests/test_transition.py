@@ -126,6 +126,12 @@ def test_e_part_examples():
         assert e_part((2, 2), k) == SymFun.zero(2), k
 
 
+def test_every_e_k_is_formed_once_per_m():
+    m = (2, 3, 5, 5, 5)
+    assert all(e_part(m, k) is e_part(m, k) for k in range(1, 6))
+    assert all(c_poly(m, (3, 2), k).is_zero() for k in (-1, 0, 6))
+
+
 def test_x_unwinds_as_weighted_refinements():
     for n in range(1, 5):
         for m in enumerate_hess(n):
