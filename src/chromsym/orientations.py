@@ -1,10 +1,12 @@
 """Acyclic orientations, sinks, and their link to tableau statistics.
 
-An orientation is stored as a frozenset of directed pairs (tail, head), one
-per graph edge.  Ascents are edges directed toward their larger endpoint.
-Sinks of an acyclic orientation are pairwise comparable in the poset, so a
-smallest sink always exists; both facts are checked rather than assumed, and
-a failed check raises :class:`InvariantViolation`.
+An orientation is an int mask over ``edges(m)``: bit idx set means edge idx,
+(i, j) with i < j, is directed (i, j), toward its larger endpoint, and bit
+idx clear means (j, i).  So theta = 6 on the edges ((1, 2), (1, 3), (2, 3))
+of m = (3, 3, 3) directs them (2, 1), (1, 3) and (2, 3), and its ascents are
+its set bits.  Sinks of an acyclic orientation are pairwise comparable in
+the poset, so a smallest sink always exists; both facts are checked rather
+than assumed, and a failed check raises :class:`InvariantViolation`.
 
 :func:`enumerate_ao` backtracks over the edges, pruning at the first directed
 cycle, and never calls :func:`theta_of`, which the binomial check compares
@@ -14,6 +16,7 @@ it with.  :func:`hook_theta_counts` buckets the hook P-tableaux by orientation.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .coloring import x_colorings
 from .errors import InvalidFilling, InvariantViolation, check_size
@@ -23,69 +26,58 @@ from .ptableaux import Filling, entry_rows, enumerate_pt, s_fun
 from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
 
-Orientation = frozenset[tuple[int, int]]
 
+def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[int, ...]:
+    """All acyclic orientations, in increasing mask order; optionally only
+    those where vertex 1 is a sink.
 
-def _is_acyclic(n: int, directed: list[tuple[int, int]]) -> bool:
-    indeg = [0] * (n + 1)
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in directed:
-        adj[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
-
-
-def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[Orientation, ...]:
-    """All acyclic orientations; optionally only those where vertex 1 is a sink.
-
-    They come in the order of the masks whose bit idx directs edge idx as
-    (i, j): the last edge is decided first, (j, i) before (i, j).  A choice
-    closing a cycle is pruned; ``reach[v]`` is the set of vertices v reaches.
+    The last edge is decided first, (j, i) before (i, j).  A choice closing
+    a cycle is pruned; ``reach[v]`` is the set of vertices v reaches, v included.
     """
     n = len(m)
     check_size(n)
     edge_list = edges(m)
-    bits = [False] * len(edge_list)
     out = []
 
-    def orient(idx: int, reach: list[int]) -> None:
+    def orient(idx: int, theta: int, reach: list[int]) -> None:
         if idx < 0:
-            out.append(frozenset((i, j) if b else (j, i) for b, (i, j) in zip(bits, edge_list)))
+            out.append(theta)
             return
         i, j = edge_list[idx]
-        for bit in (False,) if require_1_sink and i == 1 else (False, True):
+        for bit in (0,) if require_1_sink and i == 1 else (0, 1):
             tail, head = (i, j) if bit else (j, i)
             if reach[head] >> tail & 1:
                 continue
-            # tail, and every vertex reaching it, now reaches head and beyond
-            gained = reach[head] | 1 << head
-            bits[idx] = bit
-            orient(idx - 1, [r | gained if v == tail or r >> tail & 1 else r for v, r in enumerate(reach)])
+            gained = reach[head]  # now reached by every vertex that reaches tail
+            orient(idx - 1, theta | bit << idx, [r | gained if r >> tail & 1 else r for r in reach])
 
-    orient(len(edge_list) - 1, [0] * (n + 1))
+    orient(len(edge_list) - 1, 0, [1 << v for v in range(n + 1)])
+    del orient  # its closure cell refers to it; that cycle would hold out until a gc
     return tuple(out)
 
 
-def asc(m: Hess, theta: Orientation) -> int:
+def asc(m: Hess, theta: int) -> int:
     """Edges directed toward their larger endpoint."""
-    return sum(1 for u, v in theta if u < v)
+    return theta.bit_count()
 
 
-def sinks(m: Hess, theta: Orientation) -> set[int]:
-    tails = {u for u, _ in theta}
-    return {v for v in range(1, len(m) + 1) if v not in tails}
+@lru_cache(maxsize=None)
+def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
+    """Per vertex 1..n, the masks of all its edges and of its edges to smaller vertices."""
+    both, down = [0] * (len(m) + 1), [0] * (len(m) + 1)
+    for idx, (i, j) in enumerate(edges(m)):
+        both[i] |= 1 << idx
+        both[j] |= 1 << idx
+        down[j] |= 1 << idx
+    return tuple(zip(both, down))[1:]
 
 
-def smallest_sink(m: Hess, theta: Orientation) -> int:
+def sinks(m: Hess, theta: int) -> set[int]:
+    """Vertices no edge leaves: each edge down is set, each edge up clear."""
+    return {v for v, (both, down) in enumerate(_incident(m), 1) if theta & both == down}
+
+
+def smallest_sink(m: Hess, theta: int) -> int:
     """Minimal sink in the poset order; sinks are pairwise comparable."""
     ss = sorted(sinks(m, theta))
     for a in ss:
@@ -99,20 +91,23 @@ def smallest_sink(m: Hess, theta: Orientation) -> int:
     raise InvariantViolation("no minimal sink found")
 
 
-def theta_of(m: Hess, rows: Filling) -> Orientation:
+def theta_of(m: Hess, rows: Filling) -> int:
     """Orient each edge toward its endpoint lying in the higher row."""
     pos = entry_rows(rows)
-    n = len(m)
-    if set(pos) != set(range(1, n + 1)):
+    if set(pos) != set(range(1, len(m) + 1)):
         raise InvalidFilling("the filling must use 1..n exactly once")
-    return _theta(n, edges(m), pos)
+    return _theta(edges(m), pos)
 
 
-def _theta(n: int, edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) -> Orientation:
-    directed = [(i, j) if pos[j] < pos[i] else (j, i) for i, j in edge_list]
-    if not _is_acyclic(n, directed):
-        raise InvariantViolation("tableau orientation must be acyclic")
-    return frozenset(directed)
+def _theta(edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) -> int:
+    """Rows are chains, so every edge climbs rows and no cycle can close."""
+    theta = 0
+    for idx, (i, j) in enumerate(edge_list):
+        if pos[i] == pos[j]:
+            raise InvariantViolation(f"edge ({i}, {j}) joins two entries of one row")
+        if pos[j] < pos[i]:
+            theta |= 1 << idx
+    return theta
 
 
 def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
@@ -120,7 +115,7 @@ def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     return sink_poly(m, enumerate_ao(m, require_1_sink))
 
 
-def sink_poly(m: Hess, thetas: tuple[Orientation, ...]) -> dict[int, QPoly]:
+def sink_poly(m: Hess, thetas: tuple[int, ...]) -> dict[int, QPoly]:
     """Ascent-generating polynomial of the given orientations of m, by sink count."""
     out: dict[int, list[int]] = {}
     max_asc = len(edges(m))
@@ -151,19 +146,18 @@ def sink_distribution(m: Hess, source: str = "X") -> dict[int, QPoly]:
     return length_distribution(f)
 
 
-def hook_theta_counts(m: Hess, i: int) -> Counter[Orientation]:
+def hook_theta_counts(m: Hess, i: int) -> Counter[int]:
     """How many hook-shape primed P-tableaux map onto each orientation.
 
-    The hook has i cells in its first row; each orientation must be acyclic.
+    The hook has i cells in its first row; no edge may join two of them.
     """
-    n = len(m)
     edge_list = edges(m)
-    hook: Partition = (i,) + (1,) * (n - i)
+    hook: Partition = (i,) + (1,) * (len(m) - i)
     tableaux = enumerate_pt(m, hook, corner1=True)
-    return Counter(_theta(n, edge_list, entry_rows(rows)) for rows in tableaux)
+    return Counter(_theta(edge_list, entry_rows(rows)) for rows in tableaux)
 
 
-def sink_subset_count(m: Hess, theta: Orientation, i: int) -> int:
+def sink_subset_count(m: Hess, theta: int, i: int) -> int:
     """Hook-shape primed P-tableaux mapping onto a fixed orientation.
 
     For an orientation with ell sinks including vertex 1, the count matches

@@ -129,6 +129,7 @@ def _search(
                 fill(nk, rest, new_inv, nxt)
 
     fill(0, right_of[0], 0, 2 if corner1 else right_of[0])
+    del fill  # its closure cell refers to it; that cycle would hold fillings until a gc
     return counts, fillings
 
 
