@@ -37,14 +37,18 @@ def inv_coloring(m: Hess, colors: tuple[int, ...]) -> int:
     return sum(1 for i, j in edges(m) if colors[i - 1] > colors[j - 1])
 
 
+Stable = dict[int, list[tuple[int, int]]]
+Memo = dict[tuple[int, tuple[int, ...]], dict[int, int]]
+
+
 @lru_cache(maxsize=1)
-def _class_counts(m: Hess):
-    """The memoized count of (colored set, class sizes left), for the latest m only."""
+def _class_counts(m: Hess) -> tuple[Stable, Memo]:
+    """The stable sets of m by size and the memo of :func:`_count`, for the latest m only."""
     n = len(m)
     # stable[k]: (S, later) for each stable set S of size k, as bitmasks (bit j-1 for j).
     # later holds the neighbours u > j of its members j, the intervals (j, m(j)], which
     # are disjoint because S is stable, so |later & P| is the inv S adds on top of P.
-    stable: dict[int, list[tuple[int, int]]] = {}
+    stable: Stable = {}
 
     def grow(mask: int, later: int, size: int, first: int) -> None:
         stable.setdefault(size, []).append((mask, later))
@@ -52,22 +56,27 @@ def _class_counts(m: Hess):
             grow(mask | 1 << u, later | (1 << m[u]) - (1 << u + 1), size + 1, m[u])
 
     grow(0, 0, 0, 0)
-    memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    del grow  # its closure cell refers to it; that cycle would hold stable until a gc
+    return stable, {}
 
-    def count(placed: int, sizes: tuple[int, ...]) -> dict[int, int]:
-        if not sizes:
-            return {0: 1}
-        if (placed, sizes) not in memo:
-            out: dict[int, int] = {}
-            for mask, later in stable.get(sizes[0], ()):
-                if not mask & placed:
-                    inc = (later & placed).bit_count()
-                    for inv, c in count(placed | mask, sizes[1:]).items():
-                        out[inv + inc] = out.get(inv + inc, 0) + c
-            memo[placed, sizes] = out
-        return memo[placed, sizes]
 
-    return count
+def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> dict[int, int]:
+    """q^inv counts of coloring the vertices outside placed with classes of the given sizes.
+
+    A module-level function, not a closure: a closure that calls itself holds
+    itself, and so the memo, in a cycle until a gc.
+    """
+    if not sizes:
+        return {0: 1}
+    if (placed, sizes) not in memo:
+        out: dict[int, int] = {}
+        for mask, later in stable.get(sizes[0], ()):
+            if not mask & placed:
+                inc = (later & placed).bit_count()
+                for inv, c in _count(stable, memo, placed | mask, sizes[1:]).items():
+                    out[inv + inc] = out.get(inv + inc, 0) + c
+        memo[placed, sizes] = out
+    return memo[placed, sizes]
 
 
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
@@ -79,7 +88,7 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     # Only the order of the colors matters, so color c stands for the c-th smallest.
     sizes = tuple(multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0)
     total = [0] * (area(m) + 1)
-    for inv, c in _class_counts(m)(0, sizes).items():
+    for inv, c in _count(*_class_counts(m), 0, sizes).items():
         total[inv] = c
     return QPoly(total)
 

@@ -147,6 +147,7 @@ def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
                 extend(placed | 1 << v, s, v, size + 1, w + (up[v] & placed).bit_count())
 
     extend(3, 1, 1, 1, 0)
+    del extend  # its closure cell refers to it; that cycle would hold stats until a gc
     return {key: QPoly(counts) for key, counts in stats.items()}
 
 

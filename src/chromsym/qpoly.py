@@ -241,15 +241,8 @@ Exps = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def _q_int_exps(k: int) -> Exps:
-    """[k]_q as the product of Phi_d over the divisors d > 1 of k."""
-    if k < 1:
-        raise ZeroDivisionError("[0]_q is zero")
-    return tuple((d, 1) for d in range(2, k + 1) if k % d == 0)
-
-
-@lru_cache(maxsize=None)
-def _exps_poly(exps: Exps) -> QPoly:
+def cyclotomic_product(exps: Exps) -> QPoly:
+    """The product of Phi_d**e over the pairs (d, e) of exps."""
     out = ONE
     for d, e in exps:
         out = out * cyclotomic(d) ** e
@@ -385,7 +378,7 @@ class QRat:
 
     def _set(self, num: QPoly, exps: Exps) -> None:
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", _exps_poly(exps) if exps else ONE)
+        object.__setattr__(self, "den", cyclotomic_product(exps) if exps else ONE)
         object.__setattr__(self, "_exps", exps)
 
     @classmethod
@@ -399,14 +392,9 @@ class QRat:
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def over_q_ints(cls, num, ks) -> "QRat":
-        """num divided by the product of the q-integers [k]_q for k in ks."""
-        num = _as_poly(num)
-        if num is None:
-            raise TypeError("QRat components must be integer polynomials or integers")
-        exps: Exps = ()
-        for k in ks:
-            exps = _exps_add(exps, _q_int_exps(k))
+    def over_cyclotomics(cls, num: QPoly, exps: Exps) -> "QRat":
+        """num over the product of Phi_d**e for (d, e) in exps, each Phi_d that
+        num shares with it cancelled."""
         return cls._make(*_cancel(num, exps))
 
     @classmethod
@@ -451,9 +439,9 @@ class QRat:
         exps, lack_a, lack_b = _exps_lcm(self._exps, other._exps)
         a, b = self.num, other.num
         if lack_a:
-            a = a * _exps_poly(lack_a)
+            a = a * cyclotomic_product(lack_a)
         if lack_b:
-            b = b * _exps_poly(lack_b)
+            b = b * cyclotomic_product(lack_b)
         return QRat._make(*_cancel(a + b, exps))
 
     __radd__ = __add__

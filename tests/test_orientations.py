@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from chromsym import orientations
+from chromsym import coloring, gfunctions, orientations
 from chromsym.errors import InvariantViolation
 
 from chromsym.hessenberg import edges, enumerate_hess
@@ -205,6 +205,10 @@ def test_kernels_leave_no_reference_cycles():
         lambda: pt_poly(m, (3, 2)),
         lambda: enumerate_ao(m),
         lambda: hook_theta_counts(m, 2),
+        lambda: gfunctions._cycle_stats.__wrapped__(m),
+        lambda: coloring.x_colorings.__wrapped__(m),
+        # the stable sets and memo of one m at a time: this evicts those of m, and m evicts these
+        lambda: coloring.x_colorings.__wrapped__((2, 4, 5, 5, 5)),
     ]
     for call in calls:
         call()

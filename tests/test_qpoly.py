@@ -242,12 +242,12 @@ def test_arithmetic_matches_euclidean_reduction(a, da, b, db):
 
 
 @settings(deadline=None)
-@given(numerators, q_int_lists)
-def test_over_q_ints_matches_euclidean_reduction(a, ks):
+@given(numerators, st.dictionaries(st.integers(2, 12), st.integers(1, 3), max_size=3))
+def test_over_cyclotomics_matches_euclidean_reduction(a, exps):
     den = ONE
-    for k in ks:
-        den = den * q_int(k)
-    assert fields(QRat.over_q_ints(a, ks)) == euclid(a, den)
+    for d, e in exps.items():
+        den = den * cyclotomic(d) ** e
+    assert fields(QRat.over_cyclotomics(a, tuple(sorted(exps.items())))) == euclid(a, den)
 
 
 @settings(deadline=None)

@@ -1,5 +1,9 @@
 """The insertion model: weights, probability tables, and e-side refinements."""
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -7,12 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chromsym
-from chromsym.errors import InvariantViolation, SizeLimitExceeded
+from chromsym import cli, transition
+from chromsym.errors import MAX_N, InvariantViolation, NotDivisible, SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess, path
-from chromsym.partitions import all_syt
-from chromsym.qpoly import ONE, Q, QRat, q_int
+from chromsym.partitions import all_syt, entry_column, shape_of
+from chromsym.qpoly import ONE, Q, QPoly, QRat, q_fact, q_int
 from chromsym.symfunc import SymFun
 from chromsym.transition import (
     c_poly,
@@ -224,3 +230,84 @@ def test_insert_at_column_rejects_a_broken_shape():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "raised"
+
+
+def reference_e_parts(m):
+    """E_1, ..., E_n straight from the model: QRat products along every growth
+    edge, summed per (shape, column of n), times the row q-factorials, over [k]_q."""
+    n = len(m)
+    states = {(): QRat(1)}
+    for r in thresholds(m):
+        states = {child: p * psi(tab, k, r) for tab, p in states.items() for k, child in insertions(tab, r)}
+    sums = {}
+    for tab, p in states.items():
+        key = (shape_of(tab), entry_column(tab, n))
+        sums[key] = sums.get(key, QRat(0)) + p
+    parts = [{} for _ in range(n)]
+    for (lam, k), total in sums.items():
+        for part in lam:
+            total = total * QRat(q_fact(part))
+        parts[k - 1][lam] = QRat(total.num, total.den * q_int(k)).as_poly()
+    return [SymFun(n, "e", coeffs) for coeffs in parts]
+
+
+def test_e_parts_match_the_edge_by_edge_reference():
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            assert [e_part(m, k) for k in range(1, n + 1)] == reference_e_parts(m), m
+
+
+@st.composite
+def hessenberg(draw, n_max=7):
+    n = draw(st.integers(1, n_max))
+    m = []
+    for i in range(1, n + 1):
+        m.append(draw(st.integers(max(i, m[-1] if m else 1), n)))
+    return tuple(m)
+
+
+@settings(deadline=None, max_examples=25)
+@given(hessenberg())
+def test_e_parts_match_the_reference_on_random_m(m):
+    assert [e_part(m, k) for k in range(1, len(m) + 1)] == reference_e_parts(m)
+
+
+def test_e_part_bytes_are_pinned():
+    # SHA-256 of the JSON of every E_k, k = 1..n, for every m with n <= 7, in enumeration order
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for m in enumerate_hess(n):
+            for k in range(1, n + 1):
+                digest.update(json.dumps(e_part(m, k).to_json()).encode())
+    assert digest.hexdigest() == "dbc6dfe071df1fe95c9a781bcb27d96e409910f4fb3d4910b412e05aab1e7966"
+
+
+def test_trace_output_bytes_are_pinned():
+    # SHA-256 of the output of `chromsym trace transition` for every m with n <= 5
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["trace", "transition", "--m", ",".join(map(str, m))]) == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == "9fc957fdcbed0263f1a2a7e0dfdab798445c165ef0e68c7df309233aa84acf8a"
+
+
+def test_a_coefficient_that_is_not_a_polynomial_raises(monkeypatch):
+    # one tableau of shape (2,) with 2 in column 2: its E_2 coefficient is its probability,
+    # given as q**vec[0] times the product of Phi_d**vec[d]
+    def table_with(exps):
+        vec = [exps.get(d, 0) for d in range(MAX_N + 1)]
+        return lambda m, modified: {((1, 2),): tuple(vec)}
+
+    transition._e_parts.cache_clear()
+    try:
+        monkeypatch.setattr(transition, "_table_raw", table_with({0: 1, 2: 1}))
+        assert e_part((2, 2), 2) == SymFun(2, "e", {(2,): QPoly((0, 1, 1))})
+        transition._e_parts.cache_clear()
+        monkeypatch.setattr(transition, "_table_raw", table_with({0: 1, 3: -1}))
+        with pytest.raises(NotDivisible):
+            e_part((2, 2), 2)
+    finally:
+        transition._e_parts.cache_clear()
