@@ -10,6 +10,12 @@ every command and every suite; ``compute --what rho`` counts its ``--k`` as n
 too.  A ``--n``, ``--m`` or such ``--k`` above the limit, or a ``--n`` below 1,
 is refused with exit code 2 before any work starts.  The argument parser is
 built once per process, on first use.
+
+``verify --jobs N`` scans a suite in N processes, this one and N - 1
+workers forked once per suite; N defaults to 2 (``DEFAULT_JOBS``), or 1 on a
+one-CPU machine, and ``--jobs 1`` forks nothing.  The output and the exit
+code are the same, byte for byte, for every N.  An N below 1 or above the
+CPUs this process may use is a usage error, refused before any work or fork.
 """
 
 from __future__ import annotations
@@ -40,6 +46,21 @@ def _check_size(args, parser: argparse.ArgumentParser) -> None:
             n = max(n, args.k or 0)
     if n > MAX_N:
         parser.error(f"n = {n} exceeds the limit {MAX_N}")
+
+
+# The largest default worker count that was measured: two processes on two
+# CPUs.  More workers each repeat part of the engine work and its memory
+# (modlaw's workers meet almost every m).
+DEFAULT_JOBS = 2
+
+
+def _check_jobs(args, parser: argparse.ArgumentParser) -> None:
+    """Default ``verify --jobs``; refuse a count outside 1 to the usable CPUs."""
+    cpus = verify.usable_cpus()
+    if args.jobs is None:
+        args.jobs = min(DEFAULT_JOBS, cpus)
+    elif not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs = {args.jobs} is not between 1 and the {cpus} usable CPUs")
 
 
 def _rational(text: str) -> Fraction:
@@ -81,6 +102,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--n", type=int, required=True, help="verify all lengths up to n")
+    p.add_argument(
+        "--jobs", type=int, help=f"processes that scan the suite (default {DEFAULT_JOBS}, at most the CPUs)"
+    )
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reduce", help="reduce to a path-decomposition certificate")
@@ -149,7 +173,7 @@ def _cmd_compute(args, parser) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, args.n)
+    report = verify.run_suite(args.suite, args.n, args.jobs)
     if args.json:
         print(json.dumps(report))
     else:
@@ -191,6 +215,8 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     _check_size(args, parser)
+    if args.command == "verify":
+        _check_jobs(args, parser)
     try:
         if args.command == "compute":
             return _cmd_compute(args, parser)
@@ -199,7 +225,7 @@ def main(argv=None) -> int:
         if args.command == "reduce":
             return _cmd_reduce(args)
         return _cmd_trace(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

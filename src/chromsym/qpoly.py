@@ -398,6 +398,15 @@ class QRat:
         return cls._make(*_cancel(num, exps))
 
     @classmethod
+    def monomial(cls, shift: int, up: Exps, down: Exps) -> "QRat":
+        """q**shift times the product of Phi_d**e over up, over the product
+        over down.  q and the Phi_d (d >= 2) are pairwise coprime, so when no
+        d is in both this is canonical as it stands, with no division."""
+        if shift < 0 or {d for d, _ in up} & {d for d, _ in down}:
+            raise ValueError(f"not a monomial in canonical form: q^{shift}, {up} over {down}")
+        return cls._make(cyclotomic_product(up).shifted(shift), down)
+
+    @classmethod
     def over_one_plus_q(cls, coeffs: list[int], e: int) -> "QRat":
         """The integers coeffs (ascending) over (1+q)**e, each factor 1 + q of
         the numerator cancelled by synthetic division while v(-1) = 0."""

@@ -153,14 +153,19 @@ def _rat(vecs) -> QRat:
     return QRat.over_cyclotomics((total * cyclotomic_product(up)).shifted(low[0]), down)
 
 
+def _monomial(vec: Monomial) -> QRat:
+    """One monomial as a QRat: its numerator and denominator share no Phi_d."""
+    return QRat.monomial(vec[0], *_split(vec))
+
+
 def psi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (modified variant)."""
-    return _rat([_weight(delta_runs(delta_bits(tableau, r)), k, True)])
+    return _monomial(_weight(delta_runs(delta_bits(tableau, r)), k, True))
 
 
 def phi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (original variant)."""
-    return _rat([_weight(delta_runs(delta_bits(tableau, r)), k, False)])
+    return _monomial(_weight(delta_runs(delta_bits(tableau, r)), k, False))
 
 
 def thresholds(m: Hess) -> list[int]:
@@ -184,7 +189,7 @@ def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Ta
                 new[child] = contrib = tuple(map(add, value, weight))
                 if records is not None:
                     records.append(dict(step=step, r=r, k=k, parent=tab, child=child,
-                                        weight=_rat([weight]), p=_rat([contrib])))
+                                        weight=_monomial(weight), p=_monomial(contrib)))
         states = new
     return states
 
@@ -196,12 +201,12 @@ def _table_raw(m: Hess, modified: bool) -> dict[Tableau, Monomial]:
 
 def p_table(m: Hess) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
-    return {t: _rat([v]) for t, v in _table_raw(m, True).items()}
+    return {t: _monomial(v) for t, v in _table_raw(m, True).items()}
 
 
 def p_bar_table(m: Hess) -> dict[Tableau, QRat]:
     """Same table built with the original (unmodified) weights."""
-    return {t: _rat([v]) for t, v in _table_raw(m, False).items()}
+    return {t: _monomial(v) for t, v in _table_raw(m, False).items()}
 
 
 def probability_sum(m: Hess, modified: bool = True) -> QRat:

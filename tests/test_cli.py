@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,8 +170,8 @@ class SuiteStarted(Exception):
 
 @pytest.fixture
 def no_suite_runs(monkeypatch):
-    def fail(name, n_max):
-        raise SuiteStarted(name, n_max)
+    def fail(name, n_max, jobs=1):
+        raise SuiteStarted(name, n_max, jobs)
 
     monkeypatch.setattr(verify, "run_suite", fail)
 
@@ -197,6 +198,23 @@ def test_every_command_refuses_n_above_the_limit(no_suite_runs, no_engine_runs):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_jobs_outside_the_usable_cpus_is_a_usage_error(capsys, monkeypatch, no_suite_runs):
+    def fork():
+        raise AssertionError("forked before the usage check")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cpus = verify.usable_cpus()
+    for jobs in ("0", "-1", str(cpus + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "egs", "--n", "3", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    for jobs, expected in (([], min(2, cpus)), (["--jobs", str(cpus)], cpus), (["--jobs", "1"], 1)):
+        with pytest.raises(SuiteStarted) as exc:
+            main(["verify", "--suite", "egs", "--n", "3", *jobs])
+        assert exc.value.args == ("egs", 3, expected)
 
 
 def test_verify_refuses_n_below_one(no_suite_runs):
@@ -285,6 +303,42 @@ def test_every_suite_passes_with_its_checks(suite):
     assert all(c == {"name": c["name"], "passed": True} for c in report["checks"])
 
 
+# Worker counts the parallel tests use: never more workers than usable CPUs.
+JOBS = (1, 2) if verify.usable_cpus() >= 2 else (1,)
+two_cpus = pytest.mark.skipif(verify.usable_cpus() < 2, reason="needs two usable CPUs")
+
+
+@pytest.fixture
+def reaped():
+    """After the test, this process has no child left, running or exited."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@two_cpus
+@pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
+def test_two_workers_report_what_one_does(suite, reaped):
+    assert verify.run_suite(suite, 5, jobs=2) == verify.run_suite(suite, 5, jobs=1)
+
+
+def test_modlaw_shares_split_the_costly_engines(monkeypatch):
+    # share 0 of 2 computes S and E, share 1 computes G and g; no share needs the other's
+    calls = []
+    for module, name in ((ptableaux, "s_fun"), (gfunctions, "g_cap"), (gfunctions, "gfun"),
+                         (gfunctions, "g_total")):
+        def counted(m, *args, original=getattr(module, name), name=name):
+            calls.append(name)
+            return original(m, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    groups = verify.suite_modlaw(5)
+    for start, foreign in ((0, {"g_cap", "gfun", "g_total"}), (1, {"s_fun"})):
+        calls.clear()
+        assert all(error is None for _, error in verify._scan(groups, start, 2))
+        assert calls and not foreign & set(calls)
+
+
 def break_at(monkeypatch, module, name, bad_m):
     """Make ``module.name`` add the basis element of shape 1^d to its result at ``bad_m``."""
     from chromsym.symfunc import SymFun
@@ -298,49 +352,155 @@ def break_at(monkeypatch, module, name, bad_m):
     monkeypatch.setattr(module, name, wrong)
 
 
-def test_failure_reports_the_first_witness(monkeypatch):
+def test_failure_reports_the_first_witness(monkeypatch, reaped):
     from chromsym import gfunctions
 
     break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
-    report = verify.run_suite("egs", 4)
-    assert report["passed"] is False
-    assert report["checks"] == [
-        {"name": "E = G = S on 22 functions", "passed": False, "witness": "(2, 2, 3)"},
-        {"name": "E_k = G_k for every k", "passed": True},
-    ]
+    for jobs in JOBS:
+        report = verify.run_suite("egs", 4, jobs)
+        assert report["passed"] is False
+        assert report["checks"] == [
+            {"name": "E = G = S on 22 functions", "passed": False, "witness": "(2, 2, 3)"},
+            {"name": "E_k = G_k for every k", "passed": True},
+        ]
 
 
-def test_failure_is_confined_to_its_check(monkeypatch):
+def test_the_witness_a_serial_run_finds_first_wins(monkeypatch, reaped):
+    # (1, 3, 3) and (2, 2, 3) are next to each other, so two workers each find one
+    for bad_m in ((2, 2, 3), (1, 3, 3)):
+        break_at(monkeypatch, gfunctions, "g_total", bad_m)
+    for jobs in JOBS:
+        report = verify.run_suite("egs", 4, jobs)
+        assert report["checks"][0] == {
+            "name": "E = G = S on 22 functions", "passed": False, "witness": "(1, 3, 3)"
+        }
+
+
+def test_failure_is_confined_to_its_check(monkeypatch, reaped):
     from chromsym import transition
 
     break_at(monkeypatch, transition, "x_from_table", (2, 3, 3))
-    report = verify.run_suite("x-all", 4)
-    assert report["passed"] is False
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert failed == [
-        {"name": "coloring oracle matches transition", "passed": False, "witness": "(2, 3, 3)"}
-    ]
+    for jobs in JOBS:
+        report = verify.run_suite("x-all", 4, jobs)
+        assert report["passed"] is False
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed == [
+            {"name": "coloring oracle matches transition", "passed": False, "witness": "(2, 3, 3)"}
+        ]
 
 
-def test_modlaw_witness_names_family_and_triple(monkeypatch):
+def test_modlaw_witness_names_family_and_triple(monkeypatch, reaped):
     from chromsym import ptableaux
 
     break_at(monkeypatch, ptableaux, "s_fun", (3, 3, 3))
-    report = verify.run_suite("modlaw", 4)
-    assert [c["passed"] for c in report["checks"]] == [True, False, True, False]
-    assert report["checks"][1]["witness"] == "('S', ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1))"
-    assert report["checks"][3]["witness"] == "((3, 3, 3), 'S')"
+    for jobs in JOBS:
+        report = verify.run_suite("modlaw", 4, jobs)
+        assert [c["passed"] for c in report["checks"]] == [True, False, True, False]
+        assert report["checks"][1]["witness"] == "('S', ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1))"
+        assert report["checks"][3]["witness"] == "((3, 3, 3), 'S')"
 
 
-def test_verify_failure_exits_one(capsys, monkeypatch):
+def test_verify_failure_exits_one(capsys, monkeypatch, reaped):
     from chromsym import gfunctions
 
     break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
-    code, out, _ = run(capsys, "verify", "--suite", "egs", "--n", "4")
-    assert code == 1
-    assert "FAIL  E = G = S on 22 functions  witness: (2, 2, 3)" in out.splitlines()
-    assert "PASS  E_k = G_k for every k" in out.splitlines()
-    assert out.splitlines()[-1] == "FAIL  suite egs up to n=4"
+    for jobs in JOBS:
+        code, out, _ = run(capsys, "verify", "--suite", "egs", "--n", "4", "--jobs", str(jobs))
+        assert code == 1
+        assert "FAIL  E = G = S on 22 functions  witness: (2, 2, 3)" in out.splitlines()
+        assert "PASS  E_k = G_k for every k" in out.splitlines()
+        assert out.splitlines()[-1] == "FAIL  suite egs up to n=4"
+
+
+def raise_at(monkeypatch, module, name, bad_ms, error):
+    """Make ``module.name`` raise ``error`` naming m at every m in ``bad_ms``."""
+    original = getattr(module, name)
+
+    def failing(m, *args):
+        if m in bad_ms:
+            raise error(f"no value at {m}")
+        return original(m, *args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def test_an_engine_error_is_the_same_on_every_worker_count(capsys, monkeypatch, reaped):
+    from chromsym.errors import NotDivisible
+
+    # the error a serial run meets first wins, whichever process meets it
+    order = [m for n in range(1, 5) for m in enumerate_hess(n)]
+    for bad_ms in ({(2, 2, 3)}, set(enumerate_hess(3))):
+        with monkeypatch.context() as patch:
+            raise_at(patch, transition, "e_total", bad_ms, NotDivisible)
+            results = {
+                run(capsys, "verify", "--suite", "egs", "--n", "4", "--jobs", str(jobs))
+                for jobs in JOBS
+            }
+        assert results == {(1, "", f"error: no value at {min(bad_ms, key=order.index)}\n")}
+
+    class Local(ValueError):
+        def __init__(self, text, extra=None):
+            super().__init__(text)
+
+    raise_at(monkeypatch, coloring, "x_colorings", {(1, 3, 3), (2, 2, 3)}, Local)
+    for jobs in JOBS:
+        with pytest.raises(Local, match=r"^no value at \(1, 3, 3\)$"):
+            verify.run_suite("x-all", 4, jobs)
+
+
+def test_an_error_after_every_witness_is_never_met(monkeypatch, reaped):
+    break_at(monkeypatch, gfunctions, "g_total", (1,))
+    break_at(monkeypatch, gfunctions, "g_cap", (1,))
+    # a serial run leaves the group at m = (1,); a second process reaches n = 3
+    raise_at(monkeypatch, transition, "e_total", set(enumerate_hess(3)), EngineStarted)
+    for jobs in JOBS:
+        assert [c.get("witness") for c in verify.run_suite("egs", 4, jobs)["checks"]] == [
+            "(1,)", "((1,), 1)"
+        ]
+
+
+@two_cpus
+def test_a_worker_that_dies_is_an_error_and_is_reaped(capsys, monkeypatch, reaped):
+    parent, x_colorings = os.getpid(), coloring.x_colorings
+
+    def die(m):
+        if os.getpid() != parent:
+            os._exit(3)
+        return x_colorings(m)
+
+    monkeypatch.setattr(coloring, "x_colorings", die)
+    code, out, err = run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "2")
+    assert (code, out, err) == (1, "", "error: a verify worker exited with status 3\n")
+
+
+@two_cpus
+def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, reaped):
+    class Interrupt(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def stuck(m):
+        if os.getpid() == parent:
+            raise Interrupt
+        time.sleep(60)  # only a kill ends a worker in time
+
+    monkeypatch.setattr(coloring, "x_colorings", stuck)
+    started = time.monotonic()
+    with pytest.raises(Interrupt):
+        verify.run_suite("x-all", 3, 2)
+    assert time.monotonic() - started < 30
+
+
+def test_a_failed_fork_leaves_no_pipe_behind(monkeypatch, reaped):
+    def fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    with pytest.raises(BlockingIOError):
+        verify.run_suite("egs", 4, 2)
+    assert fds == (os.listdir("/proc/self/fd") if fds else [])
 
 
 def test_paths_witness_is_the_first_failure(monkeypatch):

@@ -266,6 +266,15 @@ def test_a_non_cyclotomic_factor_is_refused(a, den, bad):
         QRat(a, den * bad)
 
 
+def test_monomial_is_canonical_without_division():
+    x = QRat.monomial(2, ((2, 1), (3, 2)), ((4, 1), (6, 3)))
+    assert x == QRat(Q * Q * cyclotomic(2) * cyclotomic(3) ** 2, cyclotomic(4) * cyclotomic(6) ** 3)
+    assert QRat.monomial(0, (), ()) == QRat(1)
+    for shift, up, down in ((-1, (), ()), (0, ((2, 1),), ((2, 1), (3, 1)))):
+        with pytest.raises(ValueError):
+            QRat.monomial(shift, up, down)
+
+
 def test_q_int_is_the_product_of_its_cyclotomic_factors():
     for k in range(1, 25):
         product = ONE

@@ -294,6 +294,26 @@ def test_trace_output_bytes_are_pinned():
     assert digest.hexdigest() == "9fc957fdcbed0263f1a2a7e0dfdab798445c165ef0e68c7df309233aa84acf8a"
 
 
+def test_weights_and_probabilities_take_no_division(monkeypatch):
+    from chromsym import qpoly
+
+    original, calls = qpoly._quotient, []
+    monkeypatch.setattr(qpoly, "_quotient", lambda *args: calls.append(args) or original(*args))
+    values = [
+        weight(tab, k, r)
+        for size in range(7)
+        for tab in all_syt(size)
+        for r in range(size + 1)
+        for k in range(len(delta_runs(delta_bits(tab, r))[1]) + 1)
+        for weight in (psi, phi)
+    ]
+    values += [p for n in range(1, 7) for m in enumerate_hess(n) for p in p_table(m).values()]
+    assert calls == []
+    monkeypatch.undo()
+    # each is canonical: building it again from its fields cancels nothing
+    assert all(QRat(v.num, v.den) == v for v in values)
+
+
 def test_a_coefficient_that_is_not_a_polynomial_raises(monkeypatch):
     # one tableau of shape (2,) with 2 in column 2: its E_2 coefficient is its probability,
     # given as q**vec[0] times the product of Phi_d**vec[d]
