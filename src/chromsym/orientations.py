@@ -9,8 +9,9 @@ the poset, so a smallest sink always exists; both facts are checked rather
 than assumed, and a failed check raises :class:`InvariantViolation`.
 
 :func:`enumerate_ao` backtracks over the edges, pruning at the first directed
-cycle, and never calls :func:`theta_of`, which the binomial check compares
-it with.  :func:`hook_theta_counts` buckets the hook P-tableaux by orientation.
+cycle, and :func:`ao_tally` reads sinks and ascents off the same pass.
+:func:`hook_theta_counts` counts hook P-tableaux by orientation inside their
+search, so the binomial check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -21,39 +22,67 @@ from functools import lru_cache
 from .coloring import x_colorings
 from .errors import InvalidFilling, InvariantViolation, check_size
 from .hessenberg import Hess, edges, poset_less
-from .partitions import Partition
-from .ptableaux import Filling, entry_rows, enumerate_pt, s_fun
+from .ptableaux import Filling, entry_rows, pt_masks, s_fun
 from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
 
 
-def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[int, ...]:
-    """All acyclic orientations, in increasing mask order; optionally only
-    those where vertex 1 is a sink.
+def _acyclic(m: Hess, require_1_sink: bool) -> list[tuple[int, int]]:
+    """Every acyclic orientation with the mask of its edges' tails, in
+    increasing orientation order; optionally only those where vertex 1 is a sink.
 
     The last edge is decided first, (j, i) before (i, j).  A choice closing
     a cycle is pruned; ``reach[v]`` is the set of vertices v reaches, v included.
     """
     n = len(m)
     check_size(n)
-    edge_list = edges(m)
-    out = []
+    choices = [  # per edge (i, j), (tail, head, bit of theta) for (j, i) and then (i, j)
+        ((j, i, 0),) + (() if require_1_sink and i == 1 else ((i, j, 1 << idx),))
+        for idx, (i, j) in enumerate(edges(m))
+    ]
+    out = [] if choices else [(0, 0)]
 
-    def orient(idx: int, theta: int, reach: list[int]) -> None:
-        if idx < 0:
-            out.append(theta)
-            return
-        i, j = edge_list[idx]
-        for bit in (0,) if require_1_sink and i == 1 else (0, 1):
-            tail, head = (i, j) if bit else (j, i)
-            if reach[head] >> tail & 1:
-                continue
+    def orient(idx: int, theta: int, tails: int, reach: list[int]) -> None:
+        for tail, head, bit in choices[idx]:
             gained = reach[head]  # now reached by every vertex that reaches tail
-            orient(idx - 1, theta | bit << idx, [r | gained if r >> tail & 1 else r for r in reach])
+            if gained >> tail & 1:
+                continue
+            if idx:
+                after = [r | gained if r >> tail & 1 else r for r in reach]
+                orient(idx - 1, theta | bit, tails | 1 << tail, after)
+            else:
+                out.append((theta | bit, tails | 1 << tail))
 
-    orient(len(edge_list) - 1, 0, [1 << v for v in range(n + 1)])
+    if choices:
+        orient(len(choices) - 1, 0, 0, [1 << v for v in range(n + 1)])
     del orient  # its closure cell refers to it; that cycle would hold out until a gc
-    return tuple(out)
+    return out
+
+
+def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[int, ...]:
+    """All acyclic orientations in increasing order; optionally only those where 1 is a sink."""
+    return tuple(theta for theta, _ in _acyclic(m, require_1_sink))
+
+
+def ao_tally(m: Hess) -> tuple[dict[int, QPoly], dict[int, QPoly], list[tuple[int, int]]]:
+    """In one pass, the ascent polynomials by sink count of all acyclic orientations
+    and of those where 1 is a sink (the tail of no edge), and the latter in
+    increasing order with their sink counts."""
+    n, width, sink1 = len(m), len(edges(m)) + 1, []
+    everything, corner = ([[0] * width for _ in range(n + 1)] for _ in range(2))
+    for theta, tails in _acyclic(m, False):
+        ell, ups = n - tails.bit_count(), theta.bit_count()
+        everything[ell][ups] += 1
+        if not tails & 2:
+            corner[ell][ups] += 1
+            sink1.append((theta, ell))
+    polys = ({ell: QPoly(c) for ell, c in enumerate(t) if any(c)} for t in (everything, corner))
+    return *polys, sink1
+
+
+def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
+    """Ascent-generating polynomial of acyclic orientations, by sink count."""
+    return ao_tally(m)[1 if require_1_sink else 0]
 
 
 def asc(m: Hess, theta: int) -> int:
@@ -96,34 +125,13 @@ def theta_of(m: Hess, rows: Filling) -> int:
     pos = entry_rows(rows)
     if set(pos) != set(range(1, len(m) + 1)):
         raise InvalidFilling("the filling must use 1..n exactly once")
-    return _theta(edges(m), pos)
-
-
-def _theta(edge_list: tuple[tuple[int, int], ...], pos: dict[int, int]) -> int:
-    """Rows are chains, so every edge climbs rows and no cycle can close."""
-    theta = 0
-    for idx, (i, j) in enumerate(edge_list):
+    theta = 0  # rows are chains, so every edge climbs rows and no cycle can close
+    for idx, (i, j) in enumerate(edges(m)):
         if pos[i] == pos[j]:
             raise InvariantViolation(f"edge ({i}, {j}) joins two entries of one row")
         if pos[j] < pos[i]:
             theta |= 1 << idx
     return theta
-
-
-def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
-    """Ascent-generating polynomial of acyclic orientations, by sink count."""
-    return sink_poly(m, enumerate_ao(m, require_1_sink))
-
-
-def sink_poly(m: Hess, thetas: tuple[int, ...]) -> dict[int, QPoly]:
-    """Ascent-generating polynomial of the given orientations of m, by sink count."""
-    out: dict[int, list[int]] = {}
-    max_asc = len(edges(m))
-    for theta in thetas:
-        ell = len(sinks(m, theta))
-        bucket = out.setdefault(ell, [0] * (max_asc + 1))
-        bucket[asc(m, theta)] += 1
-    return {ell: QPoly(counts) for ell, counts in out.items()}
 
 
 def length_distribution(f: SymFun) -> dict[int, QPoly]:
@@ -147,14 +155,8 @@ def sink_distribution(m: Hess, source: str = "X") -> dict[int, QPoly]:
 
 
 def hook_theta_counts(m: Hess, i: int) -> Counter[int]:
-    """How many hook-shape primed P-tableaux map onto each orientation.
-
-    The hook has i cells in its first row; no edge may join two of them.
-    """
-    edge_list = edges(m)
-    hook: Partition = (i,) + (1,) * (len(m) - i)
-    tableaux = enumerate_pt(m, hook, corner1=True)
-    return Counter(_theta(edge_list, entry_rows(rows)) for rows in tableaux)
+    """How many primed P-tableaux of the hook with i cells in row 1 map onto each orientation."""
+    return pt_masks(m, (i,) + (1,) * (len(m) - i), corner1=True)
 
 
 def sink_subset_count(m: Hess, theta: int, i: int) -> int:

@@ -16,6 +16,7 @@ path-case recursion.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 
@@ -49,14 +50,14 @@ def inv_filling(m: Hess, rows: Filling) -> int:
 
 @lru_cache(maxsize=None)
 def _value_masks(m: Hess) -> tuple[tuple[int, ...], ...]:
-    """Bitmasks over [n] by value x (0 for no neighbour): the values allowed
-    right of x, the values allowed below x, and the neighbours y > x."""
+    """Bitmasks over [n] by value x (0 for no neighbour): the values allowed right
+    of x, the values allowed below x, the neighbours y > x; and x's first index in edges(m)."""
     full = (1 << len(m) + 1) - 2
     right_of = (full,) + tuple(full >> v + 1 << v + 1 for v in m)
     reach = (bisect_left(m, x) + 1 for x in range(1, len(m) + 1))  # the least y with x <= m(y)
     below_ok = (full,) + tuple(full >> r << r for r in reach)
     higher = (0,) + tuple(full >> x + 1 << x + 1 & ~r for x, r in enumerate(right_of[1:], 1))
-    return right_of, below_ok, higher
+    return right_of, below_ok, higher, (0, 0, *accumulate(v - i for i, v in enumerate(m, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -77,29 +78,30 @@ def _diagram(row_lengths: tuple[int, ...], inner: tuple[int, ...], tableau: bool
 
 def _search(
     m: Hess, row_lengths: tuple[int, ...], inner: tuple[int, ...],
-    tableau: bool, corner1: bool, keep: bool,
-) -> tuple[list[int], list[Filling]]:
-    """Fillings counted by inv and, when ``keep`` is set, listed.
+    tableau: bool, corner1: bool, keep: bool, by_mask: bool = False,
+) -> tuple[list[int] | Counter[int], list[Filling]]:
+    """Fillings counted by inv and, when ``keep`` is set, listed; or, unbuilt, counted by mask.
 
-    Cells take, in row-major order, free values right of the left neighbour
-    and (if ``tableau``) allowed below the upper one.  x adds to inv its
-    placed neighbours y > x: all lie in rows above, as x's row so far is a
-    chain below x.  With n cells the least free value u, whose left
-    neighbour is below it and so placed, must go into the next cell or the
-    first cell of a later row; a branch where none can take u is cut.
+    Cells take, in row-major order, free values right of the left neighbour and
+    (if ``tableau``) allowed below the upper one.  x adds its placed neighbours
+    y > x to inv, or as edges (x, y) to the mask: all lie in rows above, as x's
+    row so far is a chain below x.  With n cells the least free value u, whose left
+    neighbour is below it and so placed, must go into the next cell or the first
+    cell of a later row; the inv loop cuts a branch where none can take u.
     """
     if tableau:
         row_lengths, inner = check_partition(row_lengths), check_partition(inner)
         if len(inner) > len(row_lengths) or any(b > a for a, b in zip(row_lengths, inner)):
             raise ValueError(f"{inner} is not inside {row_lengths}")
-    counts, fillings = [0] * (area(m) + 1), []
+    counts, fillings = Counter() if by_mask else [0] * (area(m) + 1), []
     bounds, left, up, later, has_corner = _diagram(row_lengths, inner, tableau)
     size = len(left) - 1
     if size > len(m) or (corner1 and not has_corner) or any(a < 0 for a in row_lengths):
         return counts, fillings
     if not size:
-        return [1] + counts[1:], [((),) * len(bounds)]
-    right_of, below_ok, higher = _value_masks(m)
+        counts[0] += 1
+        return counts, [((),) * len(bounds)]
+    right_of, below_ok, higher, offset = _value_masks(m)
     vals = [0] * (size + 1)  # vals[-1] stays 0, the value of a missing neighbour
     cut = size == len(m)
 
@@ -128,8 +130,24 @@ def _search(
             if nxt:
                 fill(nk, rest, new_inv, nxt)
 
-    fill(0, right_of[0], 0, 2 if corner1 else right_of[0])
-    del fill  # its closure cell refers to it; that cycle would hold fillings until a gc
+    def fill_masks(k: int, free: int, mask: int, cand: int) -> None:
+        nk = k + 1
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length() - 1
+            vals[k] = x
+            new_mask = mask | (higher[x] & ~free) >> x + 1 << offset[x]
+            if nk == size:
+                counts[new_mask] += 1
+                continue
+            rest = free ^ bit
+            nxt = rest & right_of[vals[left[nk]]] & below_ok[vals[up[nk]]]
+            if nxt:
+                fill_masks(nk, rest, new_mask, nxt)
+
+    (fill_masks if by_mask else fill)(0, right_of[0], 0, 2 if corner1 else right_of[0])
+    del fill, fill_masks  # their closure cells refer to them; cycles would hold results until a gc
     return counts, fillings
 
 
@@ -150,6 +168,11 @@ def pt_poly(
 ) -> QPoly:
     """Sum of q^inv over the P-tableaux of a shape, counted without building them."""
     return QPoly(_search(m, tuple(outer), tuple(inner), True, corner1, keep=False)[0])
+
+
+def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
+    """P-tableaux counted, unbuilt, by the mask of their edges with the larger end higher up."""
+    return _search(m, tuple(outer), (), True, corner1, keep=False, by_mask=True)[0]
 
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:

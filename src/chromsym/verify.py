@@ -193,6 +193,7 @@ def suite_modlaw(n_max: int) -> list:
         name, f, triple = x
         return (None if modular.law_defect(f, triple).is_zero() else (name, triple),)
 
+    @lru_cache(maxsize=None)  # each m's S in the e basis once; freed with the groups
     def s_e(m):
         return ptableaux.s_fun(m).to_e()
 
@@ -238,19 +239,16 @@ def suite_sink(n_max: int) -> list:
 
     def binomial(m, sink1):
         counts = [orientations.hook_theta_counts(m, i) for i in range(1, len(m) + 1)]
-        for theta in sink1:
-            ell = len(orientations.sinks(m, theta))
+        for theta, ell in sink1:
             for i in range(1, ell + 1):
                 if counts[i - 1][theta] != comb(ell - 1, i - 1):
                     return m, theta, i
         return None
 
     def test(m):
-        # one enumeration serves both sides; the corner side keeps those with 1 a sink
-        thetas = orientations.enumerate_ao(m)
-        sink1 = tuple(theta for theta in thetas if 1 in orientations.sinks(m, theta))
-        left = theorem(m, "X", orientations.sink_poly(m, thetas))
-        return left, theorem(m, "S", orientations.sink_poly(m, sink1)), binomial(m, sink1)
+        # one pass over the acyclic orientations serves both sides and the binomial counts
+        everything, corner, sink1 = orientations.ao_tally(m)
+        return theorem(m, "X", everything), theorem(m, "S", corner), binomial(m, sink1)
 
     names = ["coloring-side sink theorem", "corner-side sink theorem", "hook-shape binomial counts"]
     return [(names, _all_hess(n_max), test)]

@@ -548,14 +548,22 @@ def test_calls_in_one_process_match_calls_alone(capsys):
 def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypatch):
     from chromsym import orientations
 
-    original = orientations.enumerate_ao
-    calls = []
+    original, tally = orientations._acyclic, orientations.ao_tally
+    calls, tallies = [], []
 
-    def counted(m, require_1_sink=False):
+    def counted(m, require_1_sink):
         calls.append((m, require_1_sink))
         return original(m, require_1_sink)
 
-    monkeypatch.setattr(orientations, "enumerate_ao", counted)
+    def counted_tally(m):
+        tallies.append(m)
+        return tally(m)
+
+    monkeypatch.setattr(orientations, "_acyclic", counted)
+    monkeypatch.setattr(orientations, "ao_tally", counted_tally)
     assert verify.run_suite("sink", 4)["passed"] is True
-    # one call per m serves both theorems: the sink-1 list is filtered from it
-    assert sorted(calls) == sorted((m, False) for n in range(1, 5) for m in enumerate_hess(n))
+    # one tally per m serves both theorems and the binomial counts: its one
+    # enumeration keeps the sink-1 masks, and none is made with require_1_sink
+    ms = [m for n in range(1, 5) for m in enumerate_hess(n)]
+    assert sorted(tallies) == sorted(ms)
+    assert sorted(calls) == sorted((m, False) for m in ms)

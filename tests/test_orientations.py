@@ -6,13 +6,15 @@ from collections import Counter
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chromsym import coloring, gfunctions, orientations
+from chromsym import coloring, gfunctions
 from chromsym.errors import InvariantViolation
 
 from chromsym.hessenberg import edges, enumerate_hess
 from chromsym.orientations import (
     ao_sink_poly,
+    ao_tally,
     asc,
     enumerate_ao,
     hook_theta_counts,
@@ -162,11 +164,25 @@ def test_enumerate_ao_matches_mask_reference_in_order():
         for m in enumerate_hess(n):
             for require_1_sink in (False, True):
                 assert enumerate_ao(m, require_1_sink) == _acyclic_by_masks(m, require_1_sink)
+            by_sinks, by_sinks_1, sink1 = Counter(), Counter(), []
             for theta in enumerate_ao(m):
                 directed = _directed(m, theta)
                 tails = {u for u, _ in directed}
                 assert sinks(m, theta) == set(range(1, n + 1)) - tails, (m, theta)
                 assert asc(m, theta) == sum(1 for u, v in directed if u < v), (m, theta)
+                key = (n - len(tails), sum(1 for u, v in directed if u < v))
+                by_sinks[key] += 1
+                if 1 not in tails:
+                    by_sinks_1[key] += 1
+                    sink1.append((theta, key[0]))
+            # the one-pass tally reads the same sink counts, ascents and sink-1 masks
+            everything, corner, tallied = ao_tally(m)
+            for polys, keys in ((everything, by_sinks), (corner, by_sinks_1)):
+                assert polys == {
+                    ell: QPoly([keys[ell, a] for a in range(len(edges(m)) + 1)])
+                    for ell, _ in keys
+                }, m
+            assert tallied == sink1, m
 
 
 def test_vertex_one_sink_filter_matches_require_1_sink_in_order():
@@ -177,24 +193,40 @@ def test_vertex_one_sink_filter_matches_require_1_sink_in_order():
             assert sink1 == enumerate_ao(m, require_1_sink=True), m
 
 
+def _check_hook_theta_counts(m):
+    n = len(m)
+    for i in range(1, n + 1):
+        hook = (i,) + (1,) * (n - i)
+        counts = hook_theta_counts(m, i)
+        expected = Counter(theta_of(m, rows) for rows in enumerate_pt(m, hook, corner1=True))
+        assert counts == expected, (m, i)
+        for theta in enumerate_ao(m, require_1_sink=True):
+            assert sink_subset_count(m, theta, i) == expected[theta], (m, theta, i)
+        # the masks' ascents are the tableaux' inv
+        by_inv = Counter()
+        for theta, count in counts.items():
+            by_inv[theta.bit_count()] += count
+        assert QPoly([by_inv[k] for k in range(len(edges(m)) + 1)]) == pt_poly(
+            m, hook, corner1=True
+        ), (m, i)
+
+
 def test_hook_theta_counts_match_theta_of():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for m in enumerate_hess(n):
-            for i in range(1, n + 1):
-                hook = (i,) + (1,) * (n - i)
-                tableaux = enumerate_pt(m, hook, corner1=True)
-                counts = hook_theta_counts(m, i)
-                assert counts == Counter(theta_of(m, rows) for rows in tableaux), (m, i)
-                for theta in enumerate_ao(m, require_1_sink=True):
-                    expected = sum(1 for rows in tableaux if theta_of(m, rows) == theta)
-                    assert sink_subset_count(m, theta, i) == expected == counts[theta]
+            _check_hook_theta_counts(m)
 
 
-def test_hook_theta_counts_check_acyclicity(monkeypatch):
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(enumerate_hess(7)))
+def test_hook_theta_counts_match_theta_of_at_n7(m):
+    _check_hook_theta_counts(m)
+
+
+def test_hook_theta_counts_check_acyclicity():
     # the edge (1, 2) inside one row would point neither up nor down the rows
-    monkeypatch.setattr(orientations, "enumerate_pt", lambda m, hook, corner1: (((1, 2), (3,)),))
     with pytest.raises(InvariantViolation):
-        hook_theta_counts((2, 3, 3), 2)
+        theta_of((2, 3, 3), ((1, 2), (3,)))
 
 
 def test_kernels_leave_no_reference_cycles():
@@ -205,6 +237,7 @@ def test_kernels_leave_no_reference_cycles():
         lambda: pt_poly(m, (3, 2)),
         lambda: enumerate_ao(m),
         lambda: hook_theta_counts(m, 2),
+        lambda: ao_tally(m),
         lambda: gfunctions._cycle_stats.__wrapped__(m),
         lambda: coloring.x_colorings.__wrapped__(m),
         # the stable sets and memo of one m at a time: this evicts those of m, and m evicts these
