@@ -6,7 +6,8 @@ triple with index i != 1.  Any such f is determined by its values on
 disjoint unions of paths; :func:`reduce_to_paths` makes that effective by
 emitting a certificate mapping path decompositions to Q(q) coefficients.
 Each step multiplies by 1 + q, -q, 1 or +-q/(1+q), so every coefficient is an
-integer numerator over a power of 1 + q, and certificates are summed as such.
+integer numerator over a power of 1 + q; certificates are summed as such, on
+packed integers, and each distinct value is one shared ``QRat`` (see :mod:`.qpoly`).
 
 Certificate keys are the component sizes in vertex order (first component
 first, the rest in their original order).  They are deliberately not sorted:
@@ -21,7 +22,6 @@ one closed form, :func:`path_union_closed`, and the engines stay independent.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -36,7 +36,7 @@ from .hessenberg import (
     enumerate_hess,
     hess_error,
 )
-from .qpoly import RAT_ONE, RAT_ZERO, Q, QRat, q_int
+from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, PACKED_FORMS, RAT_ZERO, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
 Certificate = Mapping[tuple[int, ...], QRat]
@@ -143,22 +143,23 @@ def split_nonflat(m: Hess) -> tuple[Hess, Hess, Hess]:
 
 def _combine(terms: tuple[tuple[int, int, int, Hess], ...]) -> Certificate:
     """The sum of sign * q**shift * (1+q)**t * reduce_to_paths(child) over
-    (sign, shift, t, child).  Each key's terms are put over the least power
-    (1+q)**top they share, summed as integers, and put into canonical form once."""
-    certs = [(sign, shift, t, reduce_to_paths(child)) for sign, shift, t, child in terms]
-    tops: dict[tuple[int, ...], int] = {}
-    for _, _, t, cert in certs:
-        for key, c in cert.items():
-            tops[key] = max(tops.get(key, 0), c.den.degree - t)
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for sign, shift, t, cert in certs:
-        for key, c in cert.items():
-            num = [0] * shift + [sign * a for a in c.num.coeffs]
-            for _ in range(tops[key] + t - c.den.degree):
-                num = [a + b for a, b in zip(num + [0], [0] + num)]
-            acc[key] = [a + b for a, b in zip_longest(acc.get(key, ()), num, fillvalue=0)]
-    values = ((key, QRat.over_one_plus_q(coeffs, tops[key])) for key, coeffs in acc.items())
-    return MappingProxyType({key: value for key, value in values if value})
+    (sign, shift, t, child), on packed numerators (see :mod:`.qpoly`).  Each
+    key's terms are put over the least power (1+q)**top they share, summed as
+    integers, and turned into their shared ``QRat`` once."""
+    parts, tops = [], {}
+    for sign, shift, t, child in terms:
+        factors = [sign * p << 64 * shift for p in ONE_PLUS_Q_PACKED]
+        for key, c in reduce_to_paths(child).items():
+            packed, e = PACKED_FORMS[id(c)]
+            parts.append((key, packed, e - t, factors))
+            if tops.setdefault(key, 0) < e - t:
+                tops[key] = e - t
+    sums: dict[tuple[int, ...], int] = {}
+    for key, packed, e, factors in parts:
+        if (j := tops[key] - e) > ONE_PLUS_Q_MAX:
+            raise InvariantViolation(f"(1+q)**{j} is beyond the packed bound")
+        sums[key] = sums.get(key, 0) + packed * factors[j]
+    return MappingProxyType({k: QRat.over_one_plus_q(s, tops[k]) for k, s in sums.items() if s})
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +174,7 @@ def reduce_to_paths(m: Hess) -> Certificate:
     check_size(len(m))
     shape = classify(m)
     if isinstance(shape, UnionOfPaths):
-        return MappingProxyType({shape.parts: RAT_ONE})
+        return MappingProxyType({shape.parts: QRat.over_one_plus_q(1, 0)})
     if isinstance(shape, Flat):  # f(m) = (1+q) f(m1) - q f(m0)
         m0, m1 = split_flat(m)
         return _combine(((1, 0, 1, m1), (-1, 1, 0, m0)))

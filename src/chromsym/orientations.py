@@ -47,9 +47,13 @@ def _acyclic(m: Hess, require_1_sink: bool) -> list[tuple[int, int]]:
             gained = reach[head]  # now reached by every vertex that reaches tail
             if gained >> tail & 1:
                 continue
-            if idx:
+            if idx > 1:
                 after = [r | gained if r >> tail & 1 else r for r in reach]
                 orient(idx - 1, theta | bit, tails | 1 << tail, after)
+            elif idx:  # edge 0 reads only its endpoints' entries of the next reach list
+                for tail0, head0, bit0 in choices[0]:
+                    if not (reach[head0] | (gained if reach[head0] >> tail & 1 else 0)) >> tail0 & 1:
+                        out.append((theta | bit | bit0, tails | 1 << tail | 1 << tail0))
             else:
                 out.append((theta | bit, tails | 1 << tail))
 

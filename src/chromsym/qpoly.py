@@ -17,16 +17,30 @@ stripped numerator is coprime to its denominator and equality is a
 field-wise comparison.  A denominator that is not plus or minus such a
 product, such as q, q - 2 or 2, is refused with :class:`NotCyclotomic`.
 
+Certificate coefficients are integer numerators over a power of 1 + q.  Their
+kernel packs a numerator p as the integer p(2**64) (Kronecker substitution),
+where q**s is a shift, (1+q)**j a product with (2**64 + 1)**j and a sum an
+integer sum, all exact.  A key's sum has at most three terms +-q**s (1+q)**j c
+with j <= 10 and c within +-2**40 (both checked, as :class:`InvariantViolation`),
+so its coefficients stay below 2**52.  :meth:`QRat.over_one_plus_q` divides by
+2**64 + 1, K <= e <= 10 times, while nothing remains and unpacks the quotient c.
+c (1+q)**K has coefficients below 2**50 and the sum's packed value, and both
+lie inside +-2**63, so it is the sum; the remainder that stopped the loop is
+c(-1) mod 2**64 + 1, so 1 + q does not divide c.  Each distinct (numerator,
+power) is one shared ``QRat``; ``PACKED_FORMS`` holds its packed form by ``id``.
+
 ``Fraction`` appears only where a value is evaluated at a rational q.  No
 floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .errors import NotCyclotomic, NotDivisible
+from .errors import InvariantViolation, NotCyclotomic, NotDivisible
 
 
 class QPoly:
@@ -407,15 +421,17 @@ class QRat:
         return cls._make(cyclotomic_product(up).shifted(shift), down)
 
     @classmethod
-    def over_one_plus_q(cls, coeffs: list[int], e: int) -> "QRat":
-        """The integers coeffs (ascending) over (1+q)**e, each factor 1 + q of
-        the numerator cancelled by synthetic division while v(-1) = 0."""
-        while e and sum(coeffs[::2]) == sum(coeffs[1::2]):
-            acc = 0
-            coeffs = [acc := c - acc for c in coeffs[:-1]]
-            e -= 1
-        num = QPoly(coeffs)
-        return cls._make(num, ((2, e),) if e and num else ())
+    def over_one_plus_q(cls, packed: int, e: int) -> "QRat":
+        """The packed numerator over (1+q)**e in lowest terms, one shared object per value."""
+        if e > ONE_PLUS_Q_MAX:
+            raise InvariantViolation(f"(1+q)**{e} is beyond the packed bound")
+        while e and not packed % ONE_PLUS_Q_PACKED[1]:
+            packed, e = packed // ONE_PLUS_Q_PACKED[1], e - 1
+        value = _interned.get((packed, e))
+        if value is None:
+            value = _interned[packed, e] = cls._make(unpack(packed), ((2, e),) if e else ())
+            _packed_forms[id(value)] = packed, e
+        return value
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -509,3 +525,27 @@ def _as_rat(x) -> QRat | None:
 
 RAT_ZERO = QRat(ZERO)
 RAT_ONE = QRat(ONE)
+
+PACK_LIMIT = 1 << 40
+ONE_PLUS_Q_MAX = 10
+ONE_PLUS_Q_PACKED = tuple(((1 << 64) + 1) ** j for j in range(ONE_PLUS_Q_MAX + 1))
+_interned: dict[tuple[int, int], QRat] = {}
+_packed_forms: dict[int, tuple[int, int]] = {}  # the values of _interned are kept, so ids stay unique
+PACKED_FORMS = MappingProxyType(_packed_forms)
+
+
+def pack(coeffs) -> int:
+    """p(2**64) for the integer polynomial p with coefficients coeffs (ascending)."""
+    return sum(c << 64 * i for i, c in enumerate(coeffs))
+
+
+def unpack(packed: int) -> QPoly:
+    """The p with p(2**64) = packed and every coefficient within PACK_LIMIT:
+    the base 2**64 digits of packed + 2**63 (1 + 2**64 + ...), less 2**63 each."""
+    k = abs(packed).bit_length() // 64 + 2
+    bias = int.from_bytes((bytes(7) + b"\x80") * k, "little")
+    digits = memoryview((packed + bias).to_bytes(8 * k, sys.byteorder)).cast("Q")
+    out = [d - (1 << 63) for d in digits]
+    if max(map(abs, out)) > PACK_LIMIT:
+        raise InvariantViolation(f"a coefficient of {out} is beyond the packed bound")
+    return QPoly(out)

@@ -141,6 +141,25 @@ def test_certificate_bytes_are_pinned():
     assert digest.hexdigest() == "6aaa664b2293c4bd2c9a0a0cbac714bcd0b83ee5a731cd8da19555141a0d951d"
 
 
+def test_certificate_bytes_are_pinned_at_n8():
+    # SHA-256 of the certificate JSON of every m of length 8, in enumeration order
+    digest = hashlib.sha256()
+    ms = list(enumerate_hess(8))
+    for m in ms:
+        digest.update(json.dumps(certificate_json(m, reduce_to_paths(m))).encode())
+    assert len(ms) == 1430
+    assert digest.hexdigest() == "35f7f439076c7de24c5f0cecba759b8f77e1a085f651f73a43bcffb077890bb6"
+
+
+def test_equal_coefficients_in_two_certificates_are_one_object():
+    seen, entries = {}, 0
+    for m in enumerate_hess(6):
+        for c in reduce_to_paths(m).values():
+            assert seen.setdefault((c.num, c.den), c) is c, (m, c)
+            entries += 1
+    assert len(seen) < entries  # values do recur
+
+
 def test_reduce_result_is_read_only():
     m = (3, 4, 4, 5, 5)
     cert = reduce_to_paths(m)

@@ -6,9 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromsym.errors import NotCyclotomic, NotDivisible
+from chromsym.errors import InvariantViolation, NotCyclotomic, NotDivisible
 from chromsym.modular import certificate_from_json
-from chromsym.qpoly import ONE, Q, QPoly, QRat, cyclotomic, q_fact, q_int
+from chromsym.qpoly import (
+    ONE,
+    ONE_PLUS_Q_MAX,
+    PACK_LIMIT,
+    Q,
+    QPoly,
+    QRat,
+    cyclotomic,
+    pack,
+    q_fact,
+    q_int,
+    unpack,
+)
 
 small_ints = st.integers(min_value=-10, max_value=10)
 polys = st.lists(small_ints, max_size=6).map(QPoly)
@@ -256,8 +268,31 @@ def test_over_one_plus_q_matches_the_constructor(w, j, e, zeros):
     # v is w times (1+q)**j, so up to j factors cancel, padded with trailing zeros
     v = list((w * q_int(2) ** j).coeffs) + [0] * zeros
     expected = QRat(QPoly(v), q_int(2) ** e)
-    value = QRat.over_one_plus_q(v, e)
+    value = QRat.over_one_plus_q(pack(v), e)
     assert (value.num, value.den) == (expected.num, expected.den)
+
+
+packable = st.lists(st.integers(-PACK_LIMIT, PACK_LIMIT), max_size=12)
+
+
+@given(packable)
+def test_pack_and_unpack_recover_the_coefficients(v):
+    assert unpack(pack(v)) == QPoly(v)
+
+
+@given(packable, st.integers(0, 11), st.sampled_from((-1, 1)))
+def test_a_coefficient_beyond_the_limit_is_refused(v, at, sign):
+    v = v + [0] * (at + 1 - len(v))
+    v[at] = sign * (PACK_LIMIT + 1)
+    with pytest.raises(InvariantViolation):
+        unpack(pack(v))
+
+
+@given(packable, st.integers(ONE_PLUS_Q_MAX + 1, 3 * ONE_PLUS_Q_MAX))
+def test_a_power_of_one_plus_q_beyond_the_limit_is_refused(v, e):
+    with pytest.raises(InvariantViolation):
+        QRat.over_one_plus_q(pack(v), e)
+
 
 
 @given(numerators, denominators(), st.sampled_from((Q, Q - 1, Q - 2, QPoly((2,)), Q * Q + 1 + Q * 3)))
