@@ -189,12 +189,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     m = hess(args.m)
-    cert = modular.reduce_to_paths(m)
-    if args.emit == "json":
-        print(json.dumps(modular.certificate_json(m, cert), check_circular=False))  # a fresh tree
-    else:
-        for key, coeff in sorted(cert.items()):
-            print(f"paths {list(key)}: {coeff}")
+    sys.stdout.write(modular.certificate_text(m, modular.reduce_to_paths(m), args.emit))
     return 0
 
 

@@ -22,6 +22,7 @@ one closed form, :func:`path_union_closed`, and the engines stay independent.
 from __future__ import annotations
 
 from functools import lru_cache
+from json import loads
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -240,14 +241,38 @@ def evaluate(cert: Certificate, base) -> SymFun:
     return SymFun(degrees.pop(), "e", {lam: v.as_poly() for lam, v in out.items()})
 
 
+@lru_cache(maxsize=None)
+def _paths_text(key: tuple[int, ...]) -> str:
+    return str(list(key))
+
+
+def certificate_text(m: Hess, cert: Certificate, emit: str = "json") -> str:
+    """The output of ``chromsym reduce --emit emit``, trailing newline included.
+
+    "json" is one line, byte for byte what ``json.dumps`` writes for
+    :func:`certificate_json`; "text" is one line ``paths [...]: coeff`` per
+    term.  Terms are sorted by key.  Each coefficient's text is kept on the
+    value (see :class:`.QRat`), so a shared coefficient is rendered once and
+    a certificate is one join.
+    """
+    items = sorted(cert.items())
+    if emit == "text":
+        return "".join([f"paths {_paths_text(key)}: {coeff}\n" for key, coeff in items])
+    if emit != "json":
+        raise ValueError(f"emit is 'text' or 'json', not {emit!r}")
+    terms = ", ".join(
+        [f'{{"paths": {_paths_text(key)}, "coeff": {coeff.json_text()}}}' for key, coeff in items]
+    )
+    return f'{{"n": {len(m)}, "terms": [{terms}]}}\n'
+
+
 def certificate_json(m: Hess, cert: Certificate) -> dict:
-    return {
-        "n": len(m),
-        "terms": [
-            {"paths": list(key), "coeff": coeff.to_json()}
-            for key, coeff in sorted(cert.items())
-        ],
-    }
+    """The certificate of m as ``{"n": len(m), "terms": [...]}``, one term
+    ``{"paths": [...], "coeff": {"num": [...], "den": [...]}}`` per key in
+    sorted order, integers as decimal strings.  It is parsed from
+    :func:`certificate_text`, the one formatter, so each call returns a fresh
+    tree; :func:`certificate_from_json` reads it back."""
+    return loads(certificate_text(m, cert))
 
 
 def certificate_from_json(data: dict) -> Certificate:

@@ -375,9 +375,13 @@ class QRat:
     ``den``.  The numerator is coprime to the denominator, so two values are
     equal exactly when their stored fields are.  There is no division: the
     inverse of a value is cyclotomic only when its numerator is.
+
+    A value is immutable, so ``str()`` and :meth:`json_text` are rendered on
+    first use and kept in two slots: a value shared by many certificates is
+    formatted once.
     """
 
-    __slots__ = ("num", "den", "_exps")
+    __slots__ = ("num", "den", "_exps", "_str", "_json")
 
     def __init__(self, num, den=ONE):
         num = _as_poly(num)
@@ -495,20 +499,33 @@ class QRat:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+    def json_text(self) -> str:
+        """``{"num": [...], "den": [...]}`` with the coefficients as decimal
+        strings, as ``json.dumps`` writes it; built once and kept."""
+        try:
+            return self._json
+        except AttributeError:
+            num, den = (", ".join(f'"{c}"' for c in p.coeffs) for p in (self.num, self.den))
+            text = f'{{"num": [{num}], "den": [{den}]}}'
+            object.__setattr__(self, "_json", text)
+            return text
 
     @classmethod
     def from_json(cls, data: dict) -> "QRat":
         return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        num = str(self.num)
-        if "+" in num or "-" in num[1:]:
-            num = f"({num})"
-        return f"{num}/({self.den})"
+        try:
+            return self._str
+        except AttributeError:
+            pass
+        text = str(self.num)
+        if not self.den.is_one():
+            if "+" in text or "-" in text[1:]:
+                text = f"({text})"
+            text = f"{text}/({self.den})"
+        object.__setattr__(self, "_str", text)
+        return text
 
     def __repr__(self) -> str:
         return f"QRat({self})"

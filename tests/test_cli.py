@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, and the size cap."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -244,6 +245,32 @@ def test_reduce_json_matches_direct_evaluation(capsys):
     assert code == 0
     cert = certificate_from_json(json.loads(out))
     assert evaluate(cert, "E") == e_total((3, 4, 4, 5, 5))
+
+
+def reduce_digest(capsys, ns, emit):
+    """SHA-256 of the standard output of ``reduce --emit emit``, over every m of
+    each length in ns, in enumeration order."""
+    digest, count = hashlib.sha256(), 0
+    for n in ns:
+        for m in enumerate_hess(n):
+            code, out, _ = run(capsys, "reduce", "--m", ",".join(map(str, m)), "--emit", emit)
+            assert code == 0
+            digest.update(out.encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "emit, ns, count, expected",
+    [
+        ("text", range(1, 8), 625, "ff4a9157bb7fd46208cabcaf0749aa49454630ceb1998f864590000294da3a58"),
+        ("text", (8,), 1430, "537999765d23c435409e002eed739b604e435b9cb5d9f7e5f49e36cf93949026"),
+        ("json", range(1, 8), 625, "52f487540eadf179c9fad1d194adac90b0ee2192ed9c34ee9207c3bb314485a9"),
+        ("json", (8,), 1430, "cb6e967c4702e7412c983c48c0dcdb37f8247b04ccc7936d25ff7ec577295ea0"),
+    ],
+)
+def test_reduce_output_bytes_are_pinned(capsys, emit, ns, count, expected):
+    assert reduce_digest(capsys, ns, emit) == (count, expected)
 
 
 def test_trace_figure_weights(capsys):

@@ -1,6 +1,7 @@
 """Modular triples, the reduction algorithm, and certificate evaluation."""
 
 import ast
+import gc
 import hashlib
 import json
 from functools import reduce
@@ -15,6 +16,7 @@ from chromsym.hessenberg import area, enumerate_hess, hsum, path
 from chromsym.modular import (
     certificate_from_json,
     certificate_json,
+    certificate_text,
     check_restricted_modular_law,
     enumerate_triples,
     evaluate,
@@ -266,3 +268,37 @@ def test_certificate_json_round_trip():
     data = certificate_json(m, cert)
     assert data["n"] == 5
     assert certificate_from_json(data) == cert
+
+
+def test_certificates_read_back_render_as_the_originals():
+    # values parsed by certificate_from_json are built by QRat(), not shared
+    ms = [m for n in range(1, 7) for m in enumerate_hess(n)]
+    expected = {
+        (m, emit): certificate_text(m, reduce_to_paths(m), emit) for m in ms for emit in ("text", "json")
+    }
+    kept = {m: certificate_from_json(certificate_json(m, reduce_to_paths(m))) for m in ms}
+    shared = {id(c) for m in ms for c in reduce_to_paths(m).values()}
+    assert not any(id(c) in shared for cert in kept.values() for c in cert.values())
+    for _ in range(3):
+        fresh = {m: certificate_from_json(json.loads(expected[m, "json"])) for m in ms}
+        for (m, emit), text in expected.items():
+            assert certificate_text(m, kept[m], emit) == text, (m, emit)
+            assert certificate_text(m, fresh[m], emit) == text, (m, emit)
+        del fresh
+        # many short-lived rendered values, so that freed ids are handed out again
+        for k in range(20000):
+            str(QRat(k, q_int(2) ** (k % 4))) + QRat(-k).json_text()
+        gc.collect()
+
+
+def test_certificate_json_is_a_fresh_tree_each_call():
+    m = (3, 4, 4, 5, 5)
+    data = certificate_json(m, reduce_to_paths(m))
+    data["terms"][0]["coeff"]["num"].append("7")
+    assert certificate_json(m, reduce_to_paths(m)) != data
+
+
+def test_certificate_text_refuses_an_unknown_format():
+    m = (2, 2)
+    with pytest.raises(ValueError):
+        certificate_text(m, reduce_to_paths(m), "yaml")

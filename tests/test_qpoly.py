@@ -1,5 +1,6 @@
 """Exact q-arithmetic: examples with hand-derived values plus algebraic laws."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -230,7 +231,7 @@ def test_rat_eval_commutes_at_nonpoles(a, b, c, d):
 
 def test_serialization_round_trip():
     r = QRat(QPoly((-1, 3)), q_int(2))
-    assert QRat.from_json(r.to_json()) == r
+    assert QRat.from_json(json.loads(r.json_text())) == r
     p = QPoly((1, 0, -2))
     assert QPoly.from_json(p.to_json()) == p
 
@@ -335,3 +336,22 @@ def test_str_forms():
     assert str(q_int(3)) == "1 + q + q^2"
     assert str(QPoly()) == "0"
     assert str(QRat(Q * q_int(2), q_int(3))) == "(q + q^2)/(1 + q + q^2)"
+
+
+@given(polys, st.lists(st.integers(min_value=2, max_value=6), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_what_json_dumps_writes(num, ds):
+    value = QRat(num)
+    for d in ds:
+        value = value * QRat(1, cyclotomic(d))
+    expected = json.dumps({"num": value.num.to_json(), "den": value.den.to_json()})
+    assert value.json_text() == expected
+    assert value.json_text() == expected  # the kept text
+
+
+def test_rendered_text_does_not_change_a_value():
+    value = QRat(Q - 3, q_int(2) ** 2)
+    before = (value.num, value.den, hash(value))
+    assert str(value) == "(-3 + q)/(1 + 2*q + q^2)"
+    assert value.json_text() == '{"num": ["-3", "1"], "den": ["1", "2", "1"]}'
+    assert (value.num, value.den, hash(value)) == before
