@@ -19,22 +19,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotProper, check_size
-from .hessenberg import Hess, area, edges
+from .errors import check_size
+from .hessenberg import Hess, area
 from .partitions import partitions
 from .qpoly import QPoly
 from .symfunc import SymFun
-
-
-def is_proper(m: Hess, colors: tuple[int, ...]) -> bool:
-    return all(colors[i - 1] != colors[j - 1] for i, j in edges(m))
-
-
-def inv_coloring(m: Hess, colors: tuple[int, ...]) -> int:
-    """Number of edges (i, j), i < j, whose smaller endpoint gets the larger color."""
-    if not is_proper(m, colors):
-        raise NotProper(f"{colors} is not proper for {m}")
-    return sum(1 for i, j in edges(m) if colors[i - 1] > colors[j - 1])
 
 
 Stable = dict[int, list[tuple[int, int]]]

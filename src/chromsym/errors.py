@@ -42,10 +42,6 @@ def check_size(n: int) -> None:
         raise SizeLimitExceeded(f"n = {n} exceeds the limit {MAX_N}")
 
 
-class NotProper(ValueError):
-    """Raised when a coloring violates an edge constraint."""
-
-
 class InvalidFilling(ValueError):
     """Raised when a filling does not satisfy the row/column poset conditions."""
 

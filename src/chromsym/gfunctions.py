@@ -8,89 +8,26 @@ containing 1; the weight of sigma counts graph edges (i, j) whose larger end
 precedes the smaller in the resulting word.
 
 :func:`_cycle_stats` counts while it searches: it builds the cycle words
-themselves, keeping weight and cycle sizes as it goes, and never forms sigma;
-:func:`bounded_permutations`, :func:`cycle_word` and :func:`wt` state the
-definition directly.  Every ``gfun(m, k)``, ``g_cap`` and ``g_total`` is built
-once per m, adding up the signed products h_d * omega(rho_mu), which are
-cached by (d, mu), with :func:`chromsym.symfunc.combination`, which
-accumulates their integer q-coefficients in place.
+themselves, keeping weight and cycle sizes as it goes, and never forms sigma.
+The definition stated directly (bounded permutations, cycle words, cycle
+sizes and the weight) lives in ``tests/test_gfunctions.py``, as the
+reference the search is checked against.  Every ``gfun(m, k)``, ``g_cap``
+and ``g_total`` is built once per m, adding up the signed products
+h_d * omega(rho_mu), which are cached by (d, mu), with
+:func:`chromsym.symfunc.combination`, which accumulates their integer
+q-coefficients in place.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Iterator
 
 from .errors import check_size
-from .hessenberg import Hess, edges
+from .hessenberg import Hess
 from .partitions import compositions
 from .qpoly import ONE, QPoly, q_int
 from .symfunc import SymFun, combination, h_to_e, omega
-
-Perm = tuple[int, ...]
-
-
-def bounded_permutations(m: Hess) -> Iterator[Perm]:
-    """All permutations sigma with sigma(i) <= m(i), position by position."""
-    n = len(m)
-    used = [False] * (n + 1)
-    sigma = [0] * n
-
-    def fill(i: int) -> Iterator[Perm]:
-        if i == n:
-            yield tuple(sigma)
-            return
-        for v in range(1, m[i] + 1):
-            if not used[v]:
-                used[v] = True
-                sigma[i] = v
-                yield from fill(i + 1)
-                used[v] = False
-
-    yield from fill(0)
-
-
-def cycle_word(sigma: Perm) -> tuple[int, ...]:
-    """Concatenated cycle decomposition, smallest elements first, minima increasing."""
-    n = len(sigma)
-    seen = [False] * (n + 1)
-    word: list[int] = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            word.append(v)
-            v = sigma[v - 1]
-    return tuple(word)
-
-
-def cycle_sizes(sigma: Perm) -> tuple[int, ...]:
-    """Cycle sizes ordered by increasing cycle minima (first contains 1)."""
-    n = len(sigma)
-    seen = [False] * (n + 1)
-    sizes = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        size, v = 0, start
-        while not seen[v]:
-            seen[v] = True
-            size += 1
-            v = sigma[v - 1]
-        sizes.append(size)
-    return tuple(sizes)
-
-
-def wt(m: Hess, sigma: Perm) -> int:
-    """Edges (i, j), i < j <= m(i), with j before i in the cycle word."""
-    word = cycle_word(sigma)
-    pos = [0] * (len(sigma) + 1)
-    for idx, v in enumerate(word):
-        pos[v] = idx
-    return sum(1 for i, j in edges(m) if pos[j] < pos[i])
 
 
 @lru_cache(maxsize=None)

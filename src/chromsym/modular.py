@@ -190,21 +190,6 @@ def law_defect(f: Callable[[Hess], SymFun], triple: Triple) -> SymFun:
     return combination(middle.degree, ((_ONE_PLUS_Q, middle), (-Q, f(m)), (-1, f(mpp))))
 
 
-def check_restricted_modular_law(
-    f: Callable[[Hess], SymFun], n: int, kinds: tuple[str, ...] = ("I", "IIr")
-) -> list[dict]:
-    """Evaluate the law on every triple of the given kinds; violations are data."""
-    violations = []
-    for kind in kinds:
-        for triple in enumerate_triples(n, kind):
-            defect = law_defect(f, triple)
-            if not defect.is_zero():
-                violations.append(
-                    {"kind": kind, "triple": triple[:3], "i": triple[3], "defect": defect}
-                )
-    return violations
-
-
 @lru_cache(maxsize=None)
 def path_union_closed(key: tuple[int, ...]) -> SymFun:
     """E = G = S on a union of paths (Shareshian-Wachs): the sum over k of

@@ -4,9 +4,11 @@ An orientation is an int mask over ``edges(m)``: bit idx set means edge idx,
 (i, j) with i < j, is directed (i, j), toward its larger endpoint, and bit
 idx clear means (j, i).  So theta = 6 on the edges ((1, 2), (1, 3), (2, 3))
 of m = (3, 3, 3) directs them (2, 1), (1, 3) and (2, 3), and its ascents are
-its set bits.  Sinks of an acyclic orientation are pairwise comparable in
-the poset, so a smallest sink always exists; both facts are checked rather
-than assumed, and a failed check raises :class:`InvariantViolation`.
+its set bits, ``theta.bit_count()``.  The sinks of an acyclic orientation are
+pairwise comparable in the poset, so a smallest sink always exists; the
+tests check that on every orientation up to n = 4, and nothing here relies
+on it.  :func:`theta_of` raises :class:`InvariantViolation` when an edge
+joins two entries of one row, since such an edge climbs no row.
 
 :func:`enumerate_ao` backtracks over the edges, pruning at the first directed
 cycle, and :func:`ao_tally` reads sinks and ascents off the same pass.
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 from .coloring import x_colorings
 from .errors import InvalidFilling, InvariantViolation, check_size
-from .hessenberg import Hess, edges, poset_less
+from .hessenberg import Hess, edges
 from .ptableaux import Filling, entry_rows, pt_masks, s_fun
 from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
@@ -89,11 +91,6 @@ def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     return ao_tally(m)[1 if require_1_sink else 0]
 
 
-def asc(m: Hess, theta: int) -> int:
-    """Edges directed toward their larger endpoint."""
-    return theta.bit_count()
-
-
 @lru_cache(maxsize=None)
 def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
     """Per vertex 1..n, the masks of all its edges and of its edges to smaller vertices."""
@@ -108,20 +105,6 @@ def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
 def sinks(m: Hess, theta: int) -> set[int]:
     """Vertices no edge leaves: each edge down is set, each edge up clear."""
     return {v for v, (both, down) in enumerate(_incident(m), 1) if theta & both == down}
-
-
-def smallest_sink(m: Hess, theta: int) -> int:
-    """Minimal sink in the poset order; sinks are pairwise comparable."""
-    ss = sorted(sinks(m, theta))
-    for a in ss:
-        for b in ss:
-            if a != b:
-                if not (poset_less(m, a, b) or poset_less(m, b, a)):
-                    raise InvariantViolation(f"incomparable sinks {a}, {b} in {theta}")
-    for a in ss:
-        if all(a == b or poset_less(m, a, b) for b in ss):
-            return a
-    raise InvariantViolation("no minimal sink found")
 
 
 def theta_of(m: Hess, rows: Filling) -> int:

@@ -1,11 +1,10 @@
-"""P-tableaux and P-arrays over a natural unit interval order.
+"""P-tableaux of straight shape over a natural unit interval order.
 
-A P-tableau of straight or skew shape fills the diagram with distinct
-integers so that rows strictly increase in the order of the poset and no
-entry strictly dominates the one directly below it; a P-array keeps only the
-row condition and may use any injective labeling from [n].  The primed
-variants pin the entry 1 to the top-left cell; shapes without a (1,1) cell
-have no primed fillings at all.
+A P-tableau of shape lam fills the Young diagram of lam with distinct
+integers from [n] so that rows strictly increase in the order of the poset
+and no entry strictly dominates the one directly below it.  The primed
+variants pin the entry 1 to the top-left cell, so the empty shape has no
+primed filling.
 
 The inv statistic counts graph edges whose larger endpoint sits in a
 strictly higher row.  The path-shape peel map removes a maximal "sliding"
@@ -18,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate
 
 from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, check_size
 from .hessenberg import Hess, area, edges, path
@@ -61,46 +60,40 @@ def _value_masks(m: Hess) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _diagram(row_lengths: tuple[int, ...], inner: tuple[int, ...], tableau: bool) -> tuple:
+def _diagram(row_lengths: tuple[int, ...]) -> tuple:
     """A shape's cells in row-major order: each row's range of indices, each
     cell's left and upper neighbour (-1 for none, and one more -1 past the end),
-    each cell's later first cells' upper neighbours, and whether (0, 0) is a cell."""
-    inner += (0,) * len(row_lengths)
-    rows = [[(i, j) for j in range(inner[i], length)] for i, length in enumerate(row_lengths)]
-    index = {cell: k for k, cell in enumerate(cell for row in rows for cell in row)}
-    ends = tuple(accumulate(map(len, rows)))
+    and each cell's later first cells' upper neighbours."""
+    ends = tuple(accumulate(row_lengths))
     bounds = tuple(zip((0,) + ends, ends))
-    left = tuple(index.get((i, j - 1), -1) for i, j in index) + (-1,)
-    up = tuple(index.get((i - 1, j), -1) if tableau else -1 for i, j in index) + (-1,)
-    later = tuple(tuple(up[a] for a, b in bounds if k < a < b) for k in range(len(index)))
-    return bounds, left, up, later, (0, 0) in index
+    cells = [(i, j) for i, length in enumerate(row_lengths) for j in range(length)]
+    left = tuple(k - 1 if j else -1 for k, (_, j) in enumerate(cells)) + (-1,)
+    up = tuple(k - row_lengths[i - 1] if i else -1 for k, (i, _) in enumerate(cells)) + (-1,)
+    later = tuple(tuple(up[a] for a, _ in bounds if k < a) for k in range(len(cells)))
+    return bounds, left, up, later
 
 
 def _search(
-    m: Hess, row_lengths: tuple[int, ...], inner: tuple[int, ...],
-    tableau: bool, corner1: bool, keep: bool, by_mask: bool = False,
+    m: Hess, row_lengths: Partition, corner1: bool, keep: bool, by_mask: bool = False
 ) -> tuple[list[int] | Counter[int], list[Filling]]:
     """Fillings counted by inv and, when ``keep`` is set, listed; or, unbuilt, counted by mask.
 
     Cells take, in row-major order, free values right of the left neighbour and
-    (if ``tableau``) allowed below the upper one.  x adds its placed neighbours
-    y > x to inv, or as edges (x, y) to the mask: all lie in rows above, as x's
-    row so far is a chain below x.  With n cells the least free value u, whose left
-    neighbour is below it and so placed, must go into the next cell or the first
-    cell of a later row; the inv loop cuts a branch where none can take u.
+    allowed below the upper one.  x adds its placed neighbours y > x to inv, or
+    as edges (x, y) to the mask: all lie in rows above, as x's row so far is a
+    chain below x.  With n cells the least free value u, whose left neighbour
+    is below it and so placed, must go into the next cell or the first cell of
+    a later row; the inv loop cuts a branch where none can take u.
     """
-    if tableau:
-        row_lengths, inner = check_partition(row_lengths), check_partition(inner)
-        if len(inner) > len(row_lengths) or any(b > a for a, b in zip(row_lengths, inner)):
-            raise ValueError(f"{inner} is not inside {row_lengths}")
+    row_lengths = check_partition(row_lengths)
     counts, fillings = Counter() if by_mask else [0] * (area(m) + 1), []
-    bounds, left, up, later, has_corner = _diagram(row_lengths, inner, tableau)
+    bounds, left, up, later = _diagram(row_lengths)
     size = len(left) - 1
-    if size > len(m) or (corner1 and not has_corner) or any(a < 0 for a in row_lengths):
+    if size > len(m) or (corner1 and not size):
         return counts, fillings
     if not size:
         counts[0] += 1
-        return counts, [((),) * len(bounds)]
+        return counts, [()]
     right_of, below_ok, higher, offset = _value_masks(m)
     vals = [0] * (size + 1)  # vals[-1] stays 0, the value of a missing neighbour
     cut = size == len(m)
@@ -151,28 +144,19 @@ def _search(
     return counts, fillings
 
 
-def enumerate_pt(
-    m: Hess, outer: Partition, inner: Partition = (), corner1: bool = False
-) -> tuple[Filling, ...]:
-    """P-tableaux of a straight (inner empty) or skew shape."""
-    return tuple(_search(m, tuple(outer), tuple(inner), True, corner1, keep=True)[1])
+def enumerate_pt(m: Hess, outer: Partition, corner1: bool = False) -> tuple[Filling, ...]:
+    """P-tableaux of a shape."""
+    return tuple(_search(m, outer, corner1, keep=True)[1])
 
 
-def enumerate_pa(m: Hess, alpha, corner1: bool = False) -> tuple[Filling, ...]:
-    """P-arrays of a weak-composition shape; entries inject from [n]."""
-    return tuple(_search(m, tuple(alpha), (), False, corner1, keep=True)[1])
-
-
-def pt_poly(
-    m: Hess, outer: Partition, inner: Partition = (), corner1: bool = False
-) -> QPoly:
+def pt_poly(m: Hess, outer: Partition, corner1: bool = False) -> QPoly:
     """Sum of q^inv over the P-tableaux of a shape, counted without building them."""
-    return QPoly(_search(m, tuple(outer), tuple(inner), True, corner1, keep=False)[0])
+    return QPoly(_search(m, outer, corner1, keep=False)[0])
 
 
 def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
     """P-tableaux counted, unbuilt, by the mask of their edges with the larger end higher up."""
-    return _search(m, tuple(outer), (), True, corner1, keep=False, by_mask=True)[0]
+    return _search(m, outer, corner1, keep=False, by_mask=True)[0]
 
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
@@ -192,29 +176,6 @@ def s_fun(m: Hess) -> SymFun:
 def x_schur(m: Hess) -> SymFun:
     """Schur expansion of the chromatic quasisymmetric function via P-tableaux."""
     return _schur_sum(m, corner1=False)
-
-
-def w_shift(lam: Partition, w: tuple[int, ...]) -> tuple[int, ...]:
-    """Row lengths lam[w(i)] + i - w(i) for a permutation w of the row indices.
-
-    ``w`` is 0-based one-line notation; entries may come out nonpositive, in
-    which case the corresponding array set is empty.
-    """
-    return tuple(lam[w[i]] + i - w[i] for i in range(len(w)))
-
-
-def signed_pa_sum(m: Hess, lam: Partition, corner1: bool = False) -> QPoly:
-    """Alternating sum of array inv-polynomials over permuted row lengths.
-
-    Equals the straight-shape P-tableau polynomial of lam (primed or not),
-    which the tests verify independently.
-    """
-    total = [0] * (area(m) + 1)
-    for w in permutations(range(len(lam))):
-        sign = (-1) ** sum(1 for a, b in combinations(w, 2) if a > b)
-        counts = _search(m, w_shift(lam, w), (), False, corner1, keep=False)[0]
-        total = [t + sign * c for t, c in zip(total, counts)]
-    return QPoly(total)
 
 
 # --- the path-shape peel bijection ----------------------------------------

@@ -68,10 +68,6 @@ class SymFun:
         return cls.term("e", parts, coeff)
 
     @classmethod
-    def s_term(cls, parts, coeff=1) -> "SymFun":
-        return cls.term("s", parts, coeff)
-
-    @classmethod
     def one(cls) -> "SymFun":
         return cls(0, "e", {(): ONE})
 

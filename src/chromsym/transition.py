@@ -95,15 +95,6 @@ def insert_at_column(tableau: Tableau, column: int) -> Tableau:
     return tuple(tuple(row) for row in rows)
 
 
-def insertions(tableau: Tableau, r: int) -> list[tuple[int, Tableau]]:
-    """All admissible growth steps (k, resulting tableau) at threshold r."""
-    runs = delta_runs(delta_bits(tableau, r))
-    return [
-        (k, insert_at_column(tableau, insertion_column(runs, k)))
-        for k in range(len(runs[1]) + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def _weight(runs: Runs, k: int, modified: bool) -> Monomial:
     """Insertion weight: a power of q times q-integers over q-integers.
@@ -202,11 +193,6 @@ def _table_raw(m: Hess, modified: bool) -> dict[Tableau, Monomial]:
 def p_table(m: Hess) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
     return {t: _monomial(v) for t, v in _table_raw(m, True).items()}
-
-
-def p_bar_table(m: Hess) -> dict[Tableau, QRat]:
-    """Same table built with the original (unmodified) weights."""
-    return {t: _monomial(v) for t, v in _table_raw(m, False).items()}
 
 
 def probability_sum(m: Hess, modified: bool = True) -> QRat:

@@ -273,6 +273,36 @@ def test_reduce_output_bytes_are_pinned(capsys, emit, ns, count, expected):
     assert reduce_digest(capsys, ns, emit) == (count, expected)
 
 
+def compute_requests(m):
+    """Every ``compute --what`` request for m: X under each method, E, G and S,
+    Ek and Gk for every k in [1, n], and g for every k in [0, n)."""
+    n = len(m)
+    for method in ("coloring", "transition", "cycle-sum", "schur"):
+        yield ["--what", "X", "--method", method]
+    for what in "EGS":
+        yield ["--what", what]
+    for what, ks in (("Ek", range(1, n + 1)), ("Gk", range(1, n + 1)), ("g", range(n))):
+        for k in ks:
+            yield ["--what", what, "--k", str(k)]
+
+
+def test_compute_output_bytes_are_pinned(capsys):
+    # SHA-256 of the standard output of every request for every m with n <= 5,
+    # in the e and s bases, as text, JSON and TSV, in enumeration order
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for request in compute_requests(m):
+                for basis in "es":
+                    for fmt in ([], ["--json"], ["--tsv"]):
+                        argv = ["compute", "--m", ",".join(map(str, m)), *request, "--basis", basis, *fmt]
+                        code, out, _ = run(capsys, *argv)
+                        assert code == 0, argv
+                        digest.update(out.encode())
+                        count += 1
+    assert (count, digest.hexdigest()) == (7836, "b647d4b42ca610304c4d944c2d8d5c6c5acf5ad405c3d890a0f823b7da3b2ab7")
+
+
 def test_trace_figure_weights(capsys):
     code, out, _ = run(capsys, "trace", "transition", "--m", "2,3,5,5,5")
     assert code == 0

@@ -8,20 +8,12 @@ from pathlib import Path
 import pytest
 
 from chromsym import coloring
-from chromsym.coloring import content_coefficient, inv_coloring, x_colorings
-from chromsym.errors import NotProper, SizeLimitExceeded
+from chromsym.coloring import content_coefficient, x_colorings
+from chromsym.errors import SizeLimitExceeded
 from chromsym.hessenberg import edges, enumerate_hess, hsum, path
 from chromsym.partitions import partitions
 from chromsym.qpoly import QPoly, q_int
 from chromsym.symfunc import SymFun
-
-
-def test_inv_examples():
-    assert inv_coloring((2, 2), (2, 1)) == 1
-    assert inv_coloring((2, 2), (1, 2)) == 0
-    assert inv_coloring((2, 3, 3), (1, 2, 3)) == 0
-    with pytest.raises(NotProper):
-        inv_coloring((2, 2), (1, 1))
 
 
 def test_x_examples():

@@ -8,22 +8,73 @@ from chromsym import gfunctions
 from chromsym.coloring import x_colorings
 from chromsym.errors import SizeLimitExceeded
 from chromsym.gfunctions import (
-    bounded_permutations,
     closed_g,
-    cycle_sizes,
-    cycle_word,
     g_cap,
     g_total,
     gfun,
     path_e_closed,
     path_x_closed,
     rho,
-    wt,
     x_cycle_sum,
 )
-from chromsym.hessenberg import enumerate_hess, hsum, path, path_components
+from chromsym.hessenberg import edges, enumerate_hess, hsum, path, path_components
 from chromsym.qpoly import ONE, Q, QPoly, QRat, q_int
 from chromsym.symfunc import SymFun, h_to_e
+
+
+# The paper's definitions, stated directly: the reference that the search in
+# gfunctions._cycle_stats, which never forms sigma, is checked against.
+
+
+def bounded_permutations(m):
+    """All permutations sigma with sigma(i) <= m(i), position by position."""
+    n = len(m)
+    used = [False] * (n + 1)
+    sigma = [0] * n
+
+    def fill(i):
+        if i == n:
+            yield tuple(sigma)
+            return
+        for v in range(1, m[i] + 1):
+            if not used[v]:
+                used[v] = True
+                sigma[i] = v
+                yield from fill(i + 1)
+                used[v] = False
+
+    yield from fill(0)
+
+
+def cycles(sigma):
+    """The cycles of sigma, each from its smallest element, minima increasing."""
+    seen = [False] * (len(sigma) + 1)
+    out = []
+    for start in range(1, len(sigma) + 1):
+        cycle, v = [], start
+        while not seen[v]:
+            seen[v] = True
+            cycle.append(v)
+            v = sigma[v - 1]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def cycle_word(sigma):
+    """Concatenated cycle decomposition, smallest elements first, minima increasing."""
+    return tuple(v for cycle in cycles(sigma) for v in cycle)
+
+
+def cycle_sizes(sigma):
+    """Cycle sizes ordered by increasing cycle minima (first contains 1)."""
+    return tuple(len(cycle) for cycle in cycles(sigma))
+
+
+def wt(m, sigma):
+    """Edges (i, j), i < j <= m(i), with j before i in the cycle word."""
+    pos = {v: idx for idx, v in enumerate(cycle_word(sigma))}
+    return sum(1 for i, j in edges(m) if pos[j] < pos[i])
 
 
 def test_bounded_permutation_counts():

@@ -17,7 +17,6 @@ from chromsym.modular import (
     certificate_from_json,
     certificate_json,
     certificate_text,
-    check_restricted_modular_law,
     enumerate_triples,
     evaluate,
     is_type1,
@@ -247,19 +246,23 @@ def test_evaluate_refuses_a_value_outside_polynomials():
 
 
 def test_checker_passes_for_s_small():
-    violations = check_restricted_modular_law(lambda m: s_fun(m).to_e(), 4)
-    assert violations == []
+    s = lambda m: s_fun(m).to_e()
+    for kind in ("I", "IIr"):
+        for triple in enumerate_triples(4, kind):
+            assert law_defect(s, triple).is_zero(), (kind, triple)
 
 
 def test_checker_flags_unrestricted_violation_for_s():
     triple = ((2, 2, 3), (2, 3, 3), (3, 3, 3), 1)
     assert is_type2(*triple[:3], 1)
     assert not law_defect(lambda m: s_fun(m).to_e(), triple).is_zero()
-    report = check_restricted_modular_law(
-        lambda m: s_fun(m).to_e(), 3, kinds=("I", "II")
-    )
-    assert [(v["kind"], v["i"]) for v in report] == [("II", 1)]
-    assert report[0]["triple"] == triple[:3]
+    failing = [
+        (kind, t)
+        for kind in ("I", "II")
+        for t in enumerate_triples(3, kind)
+        if not law_defect(lambda m: s_fun(m).to_e(), t).is_zero()
+    ]
+    assert failing == [("II", triple)]
 
 
 def test_certificate_json_round_trip():

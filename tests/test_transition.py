@@ -28,8 +28,7 @@ from chromsym.transition import (
     e_part,
     e_total,
     insert_at_column,
-    insertions,
-    p_bar_table,
+    insertion_column,
     p_table,
     phi,
     probability_sum,
@@ -38,6 +37,15 @@ from chromsym.transition import (
     trace,
     x_from_table,
 )
+
+
+def insertions(tableau, r):
+    """All admissible growth steps (k, resulting tableau) at threshold r."""
+    runs = delta_runs(delta_bits(tableau, r))
+    return [
+        (k, insert_at_column(tableau, insertion_column(runs, k)))
+        for k in range(len(runs[1]) + 1)
+    ]
 
 
 def test_delta_examples():
@@ -156,7 +164,6 @@ def test_x_matches_coloring_oracle():
 
 
 def test_weight_variant_tables():
-    assert p_bar_table((1,)) == {((1,),): QRat(1)}
     assert check_area_relation((2, 3, 5, 5, 5))
     for m in enumerate_hess(4):
         assert check_area_relation(m), m
