@@ -117,22 +117,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_symfun(f: SymFun, as_json: bool, as_tsv: bool, at_q: Fraction | None) -> None:
+def _print_symfun(f: SymFun, basis: str, as_json: bool, as_tsv: bool, at_q: Fraction | None) -> None:
+    coeffs = f.in_basis(basis)
+    items = [(lam, coeffs[lam]) for lam in sorted(coeffs, reverse=True)]
     if at_q is not None:
-        items = sorted(f.at_q(at_q).items(), reverse=True)
+        items = [(lam, c(at_q)) for lam, c in items]
     elif as_json:
-        print(json.dumps(f.to_json()))
+        terms = [{"partition": list(lam), "num": c.to_json(), "den": ["1"]} for lam, c in items]
+        print(json.dumps({"degree": f.degree, "basis": basis, "coeffs": terms}))
         return
-    elif f.is_zero():
+    elif not items:
         print("0")
         return
-    else:
-        items = f.sorted_items()
     for lam, c in items:
         if as_tsv:
             print(f"[{','.join(map(str, lam))}]\t{c}")
         elif lam:
-            print(f"{f.basis}[{','.join(map(str, lam))}]: {c}")
+            print(f"{basis}[{','.join(map(str, lam))}]: {c}")
         else:
             print(str(c))
 
@@ -168,7 +169,7 @@ def _cmd_compute(args, parser) -> int:
         f = gfunctions.gfun(m, args.k)
     else:
         f = gfunctions.rho(args.k)
-    _print_symfun(f.in_basis(args.basis), args.json, args.tsv, args.at_q)
+    _print_symfun(f, args.basis, args.json, args.tsv, args.at_q)
     return 0
 
 

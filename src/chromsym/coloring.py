@@ -84,7 +84,7 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
 
 @lru_cache(maxsize=None)
 def x_colorings(m: Hess) -> SymFun:
-    """The chromatic quasisymmetric function, in the monomial basis.
+    """The chromatic quasisymmetric function, counted in the monomial basis.
 
     The coefficient of m_lam is the inv-generating polynomial of proper
     colorings whose color multiset is exactly lam (color i used lam_i times);

@@ -37,7 +37,7 @@ from .hessenberg import (
     enumerate_hess,
     hess_error,
 )
-from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, PACKED_FORMS, RAT_ZERO, Q, QRat, q_int
+from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, RAT_ZERO, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
 Certificate = Mapping[tuple[int, ...], QRat]
@@ -151,7 +151,7 @@ def _combine(terms: tuple[tuple[int, int, int, Hess], ...]) -> Certificate:
     for sign, shift, t, child in terms:
         factors = [sign * p << 64 * shift for p in ONE_PLUS_Q_PACKED]
         for key, c in reduce_to_paths(child).items():
-            packed, e = PACKED_FORMS[id(c)]
+            packed, e = c.packed_form()
             parts.append((key, packed, e - t, factors))
             if tops.setdefault(key, 0) < e - t:
                 tops[key] = e - t
@@ -221,7 +221,7 @@ def evaluate(cert: Certificate, base) -> SymFun:
             raise DegreeMismatch(
                 f"base value for {key} has degree {value.degree}, expected {sum(key)}"
             )
-        for lam, c in value.to_e().coeffs.items():
+        for lam, c in value.coeffs.items():
             out[lam] = out.get(lam, RAT_ZERO) + coeff * c
     return SymFun(degrees.pop(), "e", {lam: v.as_poly() for lam, v in out.items()})
 

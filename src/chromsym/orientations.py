@@ -29,9 +29,9 @@ from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
 
 
-def _acyclic(m: Hess, require_1_sink: bool) -> list[tuple[int, int]]:
+def _acyclic(m: Hess) -> list[tuple[int, int]]:
     """Every acyclic orientation with the mask of its edges' tails, in
-    increasing orientation order; optionally only those where vertex 1 is a sink.
+    increasing orientation order.
 
     The last edge is decided first, (j, i) before (i, j).  A choice closing
     a cycle is pruned; ``reach[v]`` is the set of vertices v reaches, v included.
@@ -39,8 +39,7 @@ def _acyclic(m: Hess, require_1_sink: bool) -> list[tuple[int, int]]:
     n = len(m)
     check_size(n)
     choices = [  # per edge (i, j), (tail, head, bit of theta) for (j, i) and then (i, j)
-        ((j, i, 0),) + (() if require_1_sink and i == 1 else ((i, j, 1 << idx),))
-        for idx, (i, j) in enumerate(edges(m))
+        ((j, i, 0), (i, j, 1 << idx)) for idx, (i, j) in enumerate(edges(m))
     ]
     out = [] if choices else [(0, 0)]
 
@@ -66,8 +65,9 @@ def _acyclic(m: Hess, require_1_sink: bool) -> list[tuple[int, int]]:
 
 
 def enumerate_ao(m: Hess, require_1_sink: bool = False) -> tuple[int, ...]:
-    """All acyclic orientations in increasing order; optionally only those where 1 is a sink."""
-    return tuple(theta for theta, _ in _acyclic(m, require_1_sink))
+    """All acyclic orientations in increasing order; optionally only those where
+    1 is a sink, the tail of no edge."""
+    return tuple(theta for theta, tails in _acyclic(m) if not (require_1_sink and tails & 2))
 
 
 def ao_tally(m: Hess) -> tuple[dict[int, QPoly], dict[int, QPoly], list[tuple[int, int]]]:
@@ -76,7 +76,7 @@ def ao_tally(m: Hess) -> tuple[dict[int, QPoly], dict[int, QPoly], list[tuple[in
     increasing order with their sink counts."""
     n, width, sink1 = len(m), len(edges(m)) + 1, []
     everything, corner = ([[0] * width for _ in range(n + 1)] for _ in range(2))
-    for theta, tails in _acyclic(m, False):
+    for theta, tails in _acyclic(m):
         ell, ups = n - tails.bit_count(), theta.bit_count()
         everything[ell][ups] += 1
         if not tails & 2:
@@ -124,7 +124,7 @@ def theta_of(m: Hess, rows: Filling) -> int:
 def length_distribution(f: SymFun) -> dict[int, QPoly]:
     """Elementary-basis coefficients of f summed by partition length."""
     out: dict[int, QPoly] = {}
-    for lam, c in f.to_e().coeffs.items():
+    for lam, c in f.coeffs.items():
         ell = len(lam)
         out[ell] = out.get(ell, ZERO) + c
     return {ell: c for ell, c in out.items() if not c.is_zero()}

@@ -27,7 +27,7 @@ so its coefficients stay below 2**52.  :meth:`QRat.over_one_plus_q` divides by
 c (1+q)**K has coefficients below 2**50 and the sum's packed value, and both
 lie inside +-2**63, so it is the sum; the remainder that stopped the loop is
 c(-1) mod 2**64 + 1, so 1 + q does not divide c.  Each distinct (numerator,
-power) is one shared ``QRat``; ``PACKED_FORMS`` holds its packed form by ``id``.
+power) is one shared ``QRat``, which keeps its packed form (:meth:`QRat.packed_form`).
 
 ``Fraction`` appears only where a value is evaluated at a rational q.  No
 floating point is used anywhere.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import InvariantViolation, NotCyclotomic, NotDivisible
 
@@ -378,10 +377,11 @@ class QRat:
 
     A value is immutable, so ``str()`` and :meth:`json_text` are rendered on
     first use and kept in two slots: a value shared by many certificates is
-    formatted once.
+    formatted once.  A value made by :meth:`over_one_plus_q` also keeps its
+    packed form in a slot, for :meth:`packed_form`.
     """
 
-    __slots__ = ("num", "den", "_exps", "_str", "_json")
+    __slots__ = ("num", "den", "_exps", "_str", "_json", "_packed")
 
     def __init__(self, num, den=ONE):
         num = _as_poly(num)
@@ -434,8 +434,12 @@ class QRat:
         value = _interned.get((packed, e))
         if value is None:
             value = _interned[packed, e] = cls._make(unpack(packed), ((2, e),) if e else ())
-            _packed_forms[id(value)] = packed, e
+            object.__setattr__(value, "_packed", (packed, e))
         return value
+
+    def packed_form(self) -> tuple[int, int]:
+        """(packed numerator, power of 1 + q) of a value made by :meth:`over_one_plus_q`."""
+        return self._packed
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -547,8 +551,6 @@ PACK_LIMIT = 1 << 40
 ONE_PLUS_Q_MAX = 10
 ONE_PLUS_Q_PACKED = tuple(((1 << 64) + 1) ** j for j in range(ONE_PLUS_Q_MAX + 1))
 _interned: dict[tuple[int, int], QRat] = {}
-_packed_forms: dict[int, tuple[int, int]] = {}  # the values of _interned are kept, so ids stay unique
-PACKED_FORMS = MappingProxyType(_packed_forms)
 
 
 def pack(coeffs) -> int:

@@ -1,12 +1,13 @@
 """Homogeneous symmetric functions of fixed degree over Z[q].
 
 A :class:`SymFun` is a sparse map from partitions of its degree to ``QPoly``
-coefficients, tagged with a basis ('e', 'm' or 's'); the two places that
-divide fold their values back into Z[q] first.  The elementary basis is the
-internal canonical one: products are multiset unions there, and the Schur and
-monomial views are derived through integer Kostka matrices, avoiding
-Littlewood-Richardson entirely.  Every sum, ``+`` included, is taken by
-:func:`combination`, which like products accumulates integer q-coefficient
+coefficients in the elementary basis, the one basis every identity here is
+compared in; the two places that divide fold their values back into Z[q]
+first.  Products are multiset unions there.  Schur and monomial coordinates
+are met only at the edges: the constructor reads them in and
+:meth:`SymFun.in_basis` writes them out, through integer Kostka matrices,
+avoiding Littlewood-Richardson entirely.  Every sum, ``+`` included, is taken
+by :func:`combination`, which like products accumulates integer q-coefficient
 lists in place, builds one SymFun, and rejects degree-heterogeneous terms.
 A SymFun is immutable, its ``coeffs`` a read-only view, so the engines can
 hand one cached value to every caller.
@@ -19,6 +20,7 @@ from functools import lru_cache, reduce
 from itertools import compress, zip_longest
 from operator import mul
 from types import MappingProxyType
+from typing import Mapping
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
@@ -36,11 +38,12 @@ def _coerce(c) -> QPoly:
 
 
 class SymFun:
-    """A homogeneous symmetric function in basis coordinates."""
+    """A homogeneous symmetric function in elementary-basis coordinates."""
 
-    __slots__ = ("degree", "basis", "coeffs")
+    __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, basis: str, coeffs=None):
+        """The function with the given coordinates in basis 'e', 's' or 'm'."""
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         clean: dict[Partition, QPoly] = {}
@@ -51,8 +54,11 @@ class SymFun:
             c = _coerce(c)
             if not c.is_zero():
                 clean[lam] = c
+        if basis == "s":
+            clean = _apply_matrix(clean, _s_to_e_matrix(degree))
+        elif basis == "m":
+            clean = _apply_matrix(clean, _m_to_e_matrix(degree))
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
@@ -72,8 +78,8 @@ class SymFun:
         return cls(0, "e", {(): ONE})
 
     @classmethod
-    def zero(cls, degree: int, basis: str = "e") -> "SymFun":
-        return cls(degree, basis, {})
+    def zero(cls, degree: int) -> "SymFun":
+        return cls(degree, "e", {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -81,29 +87,20 @@ class SymFun:
     def coeff(self, lam) -> QPoly:
         return self.coeffs.get(tuple(lam), ZERO)
 
-    # --- basis conversions -------------------------------------------------
-
     def to_e(self) -> "SymFun":
-        if self.basis == "e":
-            return self
-        if self.basis == "s":
-            return _apply_matrix(self, _s_to_e_matrix(self.degree), "e")
-        return _apply_matrix(self, _m_to_e_matrix(self.degree), "e")
+        """Itself: the coordinates are already elementary."""
+        return self
 
-    def to_s(self) -> "SymFun":
-        if self.basis == "s":
-            return self
-        return _apply_matrix(self.to_e(), _e_to_s_matrix(self.degree), "s")
-
-    def to_m(self) -> "SymFun":
-        if self.basis == "m":
-            return self
-        return _apply_matrix(self.to_s(), _s_to_m_matrix(self.degree), "m")
-
-    def in_basis(self, basis: str) -> "SymFun":
+    def in_basis(self, basis: str) -> Mapping[Partition, QPoly]:
+        """The nonzero coefficients in basis 'e', 's' or 'm'."""
         if basis not in BASES:
             raise ValueError(f"cannot convert into basis {basis!r}")
-        return getattr(self, f"to_{basis}")()
+        coeffs = self.coeffs
+        if basis != "e":
+            coeffs = _apply_matrix(coeffs, _e_to_s_matrix(self.degree))
+        if basis == "m":
+            coeffs = _apply_matrix(coeffs, _s_to_m_matrix(self.degree))
+        return coeffs
 
     # --- ring structure ----------------------------------------------------
 
@@ -113,24 +110,23 @@ class SymFun:
         return combination(self.degree, ((1, self), (1, other)))
 
     def __neg__(self) -> "SymFun":
-        return SymFun(self.degree, self.basis, {lam: -c for lam, c in self.coeffs.items()})
+        return SymFun(self.degree, "e", {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other: "SymFun") -> "SymFun":
         return self + (-other)
 
     def scaled(self, c) -> "SymFun":
         c = _coerce(c)
-        return SymFun(self.degree, self.basis, {lam: c * v for lam, v in self.coeffs.items()})
+        return SymFun(self.degree, "e", {lam: c * v for lam, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            a, b = self.to_e(), other.to_e()
             rows: dict[Partition, list[int]] = {}
-            for lam, c in a.coeffs.items():
-                for mu, d in b.coeffs.items():
+            for lam, c in self.coeffs.items():
+                for mu, d in other.coeffs.items():
                     key = tuple(sorted(lam + mu, reverse=True))
                     _add_product(rows.setdefault(key, []), c.coeffs, d.coeffs)
-            return _from_rows(a.degree + b.degree, rows)
+            return _from_rows(self.degree + other.degree, rows)
         return self.scaled(other)
 
     def __rmul__(self, other):
@@ -139,9 +135,7 @@ class SymFun:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFun):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        return self.to_e().coeffs == other.to_e().coeffs
+        return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
         raise TypeError("SymFun is unhashable")
@@ -153,28 +147,14 @@ class SymFun:
 
     def is_e_positive_at_one(self) -> bool:
         """Every elementary-basis coefficient is nonnegative at q = 1."""
-        return all(v >= 0 for v in self.to_e().at_q(1).values())
-
-    # --- serialization -------------------------------------------------------
-
-    def sorted_items(self) -> list[tuple[Partition, QPoly]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "basis": self.basis,
-            "coeffs": [
-                {"partition": list(lam), "num": c.to_json(), "den": ["1"]}
-                for lam, c in self.sorted_items()
-            ],
-        }
+        return all(v >= 0 for v in self.at_q(1).values())
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         return "; ".join(
-            f"{self.basis}[{','.join(map(str, lam))}]: {c}" for lam, c in self.sorted_items()
+            f"e[{','.join(map(str, lam))}]: {self.coeffs[lam]}"
+            for lam in sorted(self.coeffs, reverse=True)
         )
 
     def __repr__(self) -> str:
@@ -194,33 +174,32 @@ def _from_rows(degree: int, rows: dict[Partition, list[int]]) -> SymFun:
 
 
 def combination(degree: int, terms) -> SymFun:
-    """The sum of c * f over the (c, f) pairs of ``terms``, in the elementary basis.
+    """The sum of c * f over the (c, f) pairs of ``terms``.
 
-    Each c is an int or a QPoly and each f, in any basis, is taken through
-    ``to_e``; the integer q-coefficients are accumulated in place and one
-    SymFun is built.  A term of another degree, a zero one included, raises
-    :class:`DegreeMismatch`.
+    Each c is an int or a QPoly; the integer q-coefficients are accumulated
+    in place and one SymFun is built.  A term of another degree, a zero one
+    included, raises :class:`DegreeMismatch`.
     """
     rows: dict[Partition, list[int]] = {}
     for c, f in terms:
         if f.degree != degree:
             raise DegreeMismatch(f"degree {f.degree} term in a sum of degree {degree}")
         a = _coerce(c).coeffs
-        for lam, v in f.to_e().coeffs.items():
+        for lam, v in f.coeffs.items():
             _add_product(rows.setdefault(lam, []), a, v.coeffs)
     return _from_rows(degree, rows)
 
 
-def _apply_matrix(f: SymFun, matrix, target: str) -> SymFun:
+def _apply_matrix(coeffs: Mapping[Partition, QPoly], matrix) -> dict[Partition, QPoly]:
     """sum(row[j] * coefficient j) for each integer row, as one integer dot product
-    per q-degree over the columns of the nonzero coefficients."""
+    per q-degree over the columns of the nonzero coefficients; zeros are dropped."""
     basis_list, rows = matrix
-    keep = [lam in f.coeffs for lam in basis_list]
-    nums = (f.coeffs[lam].coeffs for lam in compress(basis_list, keep))
+    keep = [lam in coeffs for lam in basis_list]
+    nums = (coeffs[lam].coeffs for lam in compress(basis_list, keep))
     cols = list(zip_longest(*nums, fillvalue=0))
     rows = (list(compress(row, keep)) for row in rows)
     dots = (QPoly([sum(map(mul, row, col)) for col in cols]) for row in rows)
-    return SymFun(f.degree, target, dict(zip(basis_list, dots)))
+    return {lam: c for lam, c in zip(basis_list, dots) if not c.is_zero()}
 
 
 @lru_cache(maxsize=None)
@@ -285,6 +264,5 @@ def h_to_e(n: int) -> SymFun:
 
 def omega(f: SymFun) -> SymFun:
     """The classical involution sending h to e (and hence e to h)."""
-    f = f.to_e()
     terms = ((c, reduce(mul, map(h_to_e, lam), SymFun.one())) for lam, c in f.coeffs.items())
     return combination(f.degree, terms)

@@ -195,8 +195,9 @@ def p_table(m: Hess) -> dict[Tableau, QRat]:
     return {t: _monomial(v) for t, v in _table_raw(m, True).items()}
 
 
-def probability_sum(m: Hess, modified: bool = True) -> QRat:
-    return _rat(_table_raw(m, modified).values())
+def probability_sum(m: Hess) -> QRat:
+    """The sum of the probabilities of every reachable standard tableau of size n."""
+    return _rat(_table_raw(m, True).values())
 
 
 def check_area_relation(m: Hess) -> bool:

@@ -151,7 +151,7 @@ def suite_egs(n_max: int) -> list:
     def test(m):
         e = transition.e_total(m)
         g = gfunctions.g_total(m)
-        s = ptableaux.s_fun(m).to_e()
+        s = ptableaux.s_fun(m)
         pieces = (
             (m, k)
             for k in range(1, len(m) + 1)
@@ -174,12 +174,12 @@ def suite_x_all(n_max: int) -> list:
     engines = {
         "transition": transition.x_from_table,
         "cycle-sum": gfunctions.x_cycle_sum,
-        "schur": lambda m: ptableaux.x_schur(m).to_e(),
+        "schur": ptableaux.x_schur,
         "decomposition": decomposition,
     }
 
     def test(m):
-        x = coloring.x_colorings(m).to_e()
+        x = coloring.x_colorings(m)
         return [None if x == f(m) else m for f in engines.values()]
 
     names = [f"coloring oracle matches {name}" for name in engines]
@@ -193,10 +193,6 @@ def suite_modlaw(n_max: int) -> list:
         name, f, triple = x
         return (None if modular.law_defect(f, triple).is_zero() else (name, triple),)
 
-    @lru_cache(maxsize=None)  # each m's S in the e basis once; freed with the groups
-    def s_e(m):
-        return ptableaux.s_fun(m).to_e()
-
     # With workers, S and E go to one process and G and g to another, so each
     # computes one of the two costly engines (P-tableaux; cycle statistics).
     process = {"S": 0, "G": 1, "g": 1, "E": 2}
@@ -204,7 +200,7 @@ def suite_modlaw(n_max: int) -> list:
     groups = []
     for n in range(2, n_max + 1):
         triples = modular.enumerate_triples(n, "I") + modular.enumerate_triples(n, "IIr")
-        families = [("S", s_e)]
+        families = [("S", ptableaux.s_fun)]
         for k in range(1, n + 1):
             families.append((f"E_{k}", lambda m, k=k: transition.e_part(m, k)))
             families.append((f"G_{k}", lambda m, k=k: gfunctions.g_cap(m, k)))
@@ -223,7 +219,7 @@ def suite_modlaw(n_max: int) -> list:
         m, b, f = x
         return (None if contracted(m) == f(m) else (m, b),)
 
-    direct = (("E", transition.e_total), ("G", gfunctions.g_total), ("S", s_e))
+    direct = (("E", transition.e_total), ("G", gfunctions.g_total), ("S", ptableaux.s_fun))
     cases = [(m, b, f) for m in _all_hess(n_max) for b, f in direct]
     name = "certificates evaluate to direct E/G/S"
     groups.append(([name], cases, certified, lambda x: process[x[1]]))

@@ -303,6 +303,25 @@ def test_compute_output_bytes_are_pinned(capsys):
     assert (count, digest.hexdigest()) == (7836, "b647d4b42ca610304c4d944c2d8d5c6c5acf5ad405c3d890a0f823b7da3b2ab7")
 
 
+def test_compute_m_basis_and_at_q_bytes_are_pinned(capsys):
+    # SHA-256 of the standard output of every request for every m with n <= 5:
+    # in the m basis as text, JSON and TSV, then at q = -1/2 in every basis as
+    # text and TSV, in enumeration order
+    variants = [["--basis", "m", *fmt] for fmt in ([], ["--json"], ["--tsv"])]
+    variants += [["--basis", basis, "--at-q", "-1/2", *fmt] for basis in "esm" for fmt in ([], ["--tsv"])]
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for m in enumerate_hess(n):
+            for request in compute_requests(m):
+                for variant in variants:
+                    argv = ["compute", "--m", ",".join(map(str, m)), *request, *variant]
+                    code, out, _ = run(capsys, *argv)
+                    assert code == 0, argv
+                    digest.update(out.encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (11754, "fbabc03a215007b192c8ef3fcbe10d8cc6d2d27731a1e8af4102ee0ade44b971")
+
+
 def test_trace_figure_weights(capsys):
     code, out, _ = run(capsys, "trace", "transition", "--m", "2,3,5,5,5")
     assert code == 0
@@ -397,14 +416,14 @@ def test_modlaw_shares_split_the_costly_engines(monkeypatch):
 
 
 def break_at(monkeypatch, module, name, bad_m):
-    """Make ``module.name`` add the basis element of shape 1^d to its result at ``bad_m``."""
+    """Make ``module.name`` add e_{1^d} to its result at ``bad_m``."""
     from chromsym.symfunc import SymFun
 
     original = getattr(module, name)
 
     def wrong(m, *args):
         value = original(m, *args)
-        return value + SymFun.term(value.basis, [1] * value.degree) if m == bad_m else value
+        return value + SymFun.e_term([1] * value.degree) if m == bad_m else value
 
     monkeypatch.setattr(module, name, wrong)
 
@@ -608,9 +627,9 @@ def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypat
     original, tally = orientations._acyclic, orientations.ao_tally
     calls, tallies = [], []
 
-    def counted(m, require_1_sink):
-        calls.append((m, require_1_sink))
-        return original(m, require_1_sink)
+    def counted(m):
+        calls.append(m)
+        return original(m)
 
     def counted_tally(m):
         tallies.append(m)
@@ -620,7 +639,7 @@ def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypat
     monkeypatch.setattr(orientations, "ao_tally", counted_tally)
     assert verify.run_suite("sink", 4)["passed"] is True
     # one tally per m serves both theorems and the binomial counts: its one
-    # enumeration keeps the sink-1 masks, and none is made with require_1_sink
+    # enumeration keeps the sink-1 masks, and no other enumeration is made
     ms = [m for n in range(1, 5) for m in enumerate_hess(n)]
     assert sorted(tallies) == sorted(ms)
-    assert sorted(calls) == sorted((m, False) for m in ms)
+    assert sorted(calls) == sorted(ms)

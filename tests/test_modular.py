@@ -196,7 +196,7 @@ def test_evaluate_reduce_round_trip():
     values = {(m, b): evaluate(reduce_to_paths(m), b) for m in ms for b in "EGS"}
     assert [cache.cache_info().currsize for cache in engine_caches] == [0, 0, 0, 0]
     for m in ms:
-        direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m).to_e()}
+        direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m)}
         assert all(values[m, b] == direct[b] for b in "EGS"), m
 
 
@@ -204,7 +204,7 @@ def test_closed_form_matches_every_engine_on_path_unions():
     for n in range(1, 8):
         for key in compositions(n):
             m = reduce(hsum, map(path, key))
-            direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m).to_e()}
+            direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m)}
             for b, value in direct.items():
                 assert evaluate({key: RAT_ONE}, b) == value, (key, b)
 
@@ -246,21 +246,20 @@ def test_evaluate_refuses_a_value_outside_polynomials():
 
 
 def test_checker_passes_for_s_small():
-    s = lambda m: s_fun(m).to_e()
     for kind in ("I", "IIr"):
         for triple in enumerate_triples(4, kind):
-            assert law_defect(s, triple).is_zero(), (kind, triple)
+            assert law_defect(s_fun, triple).is_zero(), (kind, triple)
 
 
 def test_checker_flags_unrestricted_violation_for_s():
     triple = ((2, 2, 3), (2, 3, 3), (3, 3, 3), 1)
     assert is_type2(*triple[:3], 1)
-    assert not law_defect(lambda m: s_fun(m).to_e(), triple).is_zero()
+    assert not law_defect(s_fun, triple).is_zero()
     failing = [
         (kind, t)
         for kind in ("I", "II")
         for t in enumerate_triples(3, kind)
-        if not law_defect(lambda m: s_fun(m).to_e(), t).is_zero()
+        if not law_defect(s_fun, t).is_zero()
     ]
     assert failing == [("II", triple)]
 

@@ -53,7 +53,16 @@ def test_s_fun_examples():
 def test_x_schur_matches_oracle():
     for n in range(1, 6):
         for m in enumerate_hess(n):
-            assert x_schur(m) == x_colorings(m).to_s(), m
+            assert x_schur(m).in_basis("s") == x_colorings(m).in_basis("s"), m
+
+
+def test_schur_coordinates_are_the_p_tableau_polynomials():
+    # S and X are stored in the e basis; reading them back in s recovers each shape's count
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            for f, corner1 in ((s_fun(m), True), (x_schur(m), False)):
+                want = {lam: pt_poly(m, lam, corner1=corner1) for lam in partitions(n)}
+                assert f.in_basis("s") == {lam: c for lam, c in want.items() if not c.is_zero()}, m
 
 
 def test_s_multiplicativity():

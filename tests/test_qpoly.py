@@ -271,6 +271,10 @@ def test_over_one_plus_q_matches_the_constructor(w, j, e, zeros):
     expected = QRat(QPoly(v), q_int(2) ** e)
     value = QRat.over_one_plus_q(pack(v), e)
     assert (value.num, value.den) == (expected.num, expected.den)
+    # the value keeps its lowest-terms packed form, and that form names the same shared value
+    packed, top = value.packed_form()
+    assert (unpack(packed), q_int(2) ** top) == (value.num, value.den)
+    assert QRat.over_one_plus_q(packed, top) is value
 
 
 packable = st.lists(st.integers(-PACK_LIMIT, PACK_LIMIT), max_size=12)

@@ -18,7 +18,7 @@ ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # Public names with no caller in the package that stay, by qualified name.
 KEPT = {
     "certificate_from_json",  # bench/reference.py reads certificates back
-    "SymFun.to_m",  # SymFun.in_basis reaches it through getattr
+    "SymFun.to_e",  # tests/test_acceptance.py calls it on engine results
     "theta_of",  # the tableau-to-orientation map the hook counts are tested against
     "dominates",  # the order the Kostka matrices are tested to be triangular in
     "pack",  # the inverse of qpoly.unpack, for the packed-form tests
