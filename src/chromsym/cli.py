@@ -120,15 +120,15 @@ def _parser() -> argparse.ArgumentParser:
 def _print_symfun(f: SymFun, basis: str, as_json: bool, as_tsv: bool, at_q: Fraction | None) -> None:
     coeffs = f.in_basis(basis)
     items = [(lam, coeffs[lam]) for lam in sorted(coeffs, reverse=True)]
-    if at_q is not None:
-        items = [(lam, c(at_q)) for lam, c in items]
-    elif as_json:
+    if as_json:
         terms = [{"partition": list(lam), "num": c.to_json(), "den": ["1"]} for lam, c in items]
         print(json.dumps({"degree": f.degree, "basis": basis, "coeffs": terms}))
         return
-    elif not items:
+    if not items:
         print("0")
         return
+    if at_q is not None:
+        items = [(lam, c(at_q)) for lam, c in items]
     for lam, c in items:
         if as_tsv:
             print(f"[{','.join(map(str, lam))}]\t{c}")

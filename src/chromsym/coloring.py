@@ -12,14 +12,19 @@ search.  When S_i is laid on top of the set P already colored, each j in S_i
 has a larger color than all of P, so the inv it adds is the number of its
 neighbours u > j in P: the increment depends on P and S_i alone, not on how
 P was colored.  The q^inv count of a state (colored set, class sizes left)
-is therefore memoized, at most 2^n states per suffix of the content.
+is therefore memoized, at most 2^n states per suffix of the content.  A
+count sum c_i q^i is packed into the integer sum c_i 2^(WIDTH i), so adding
+a sub-count shifted by q^inc is one shift and one add.  This is exact while
+every c_i < 2^WIDTH: a state counts colorings of at most MAX_N vertices with
+prescribed class sizes, at most MAX_N! of them, which the import checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
-from .errors import check_size
+from .errors import MAX_N, InvariantViolation, check_size
 from .hessenberg import Hess, area
 from .partitions import partitions
 from .qpoly import QPoly
@@ -27,7 +32,11 @@ from .symfunc import SymFun
 
 
 Stable = dict[int, list[tuple[int, int]]]
-Memo = dict[tuple[int, tuple[int, ...]], dict[int, int]]
+Memo = dict[tuple[int, tuple[int, ...]], int]
+
+WIDTH = 32  # bits per coefficient of a packed q^inv count
+if factorial(MAX_N) >> WIDTH:
+    raise InvariantViolation(f"{MAX_N}! colorings overflow a {WIDTH}-bit packed coefficient")
 
 
 @lru_cache(maxsize=1)
@@ -49,23 +58,23 @@ def _class_counts(m: Hess) -> tuple[Stable, Memo]:
     return stable, {}
 
 
-def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> dict[int, int]:
-    """q^inv counts of coloring the vertices outside placed with classes of the given sizes.
+def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> int:
+    """The packed q^inv count of coloring the vertices outside placed with
+    classes of the given sizes.
 
     A module-level function, not a closure: a closure that calls itself holds
     itself, and so the memo, in a cycle until a gc.
     """
     if not sizes:
-        return {0: 1}
-    if (placed, sizes) not in memo:
-        out: dict[int, int] = {}
+        return 1
+    out = memo.get((placed, sizes))
+    if out is None:
+        out, rest = 0, sizes[1:]
         for mask, later in stable.get(sizes[0], ()):
             if not mask & placed:
-                inc = (later & placed).bit_count()
-                for inv, c in _count(stable, memo, placed | mask, sizes[1:]).items():
-                    out[inv + inc] = out.get(inv + inc, 0) + c
+                out += _count(stable, memo, placed | mask, rest) << WIDTH * (later & placed).bit_count()
         memo[placed, sizes] = out
-    return memo[placed, sizes]
+    return out
 
 
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
@@ -76,10 +85,8 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
         raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
     # Only the order of the colors matters, so color c stands for the c-th smallest.
     sizes = tuple(multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0)
-    total = [0] * (area(m) + 1)
-    for inv, c in _count(*_class_counts(m), 0, sizes).items():
-        total[inv] = c
-    return QPoly(total)
+    packed, low = _count(*_class_counts(m), 0, sizes), (1 << WIDTH) - 1
+    return QPoly._trusted([packed >> WIDTH * inv & low for inv in range(area(m) + 1)])
 
 
 @lru_cache(maxsize=None)

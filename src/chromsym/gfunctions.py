@@ -21,7 +21,7 @@ q-coefficients in place.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import mul
+from operator import add, mul
 
 from .errors import check_size
 from .hessenberg import Hess
@@ -61,31 +61,40 @@ def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     A cycle opens at the smallest unplaced vertex s; from its last vertex u it
     closes (sigma(u) = s <= m(u)) or goes on to an unplaced v <= m(u).  Placing
     x adds its placed neighbours y in ``up[x]`` = {x < y <= m(x)} to the weight.
+    A permutation is done once every vertex is placed, and is tallied under its
+    cycle sizes in order; each distinct tuple is sorted into its key once, at the end.
     """
     check_size(len(m))
     n = len(m)
     up = [0] + [(1 << m[x - 1] + 1) - (1 << x + 1) for x in range(1, n + 1)]
     n_edges = sum(b.bit_count() for b in up)
     full = (1 << n + 1) - 1  # bit 0 is always set, so placed + 1 flips the lowest free bit
-    stats: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    by_sizes: dict[tuple[int, ...], list[int]] = {}
     sizes: list[int] = []
 
     def extend(placed: int, s: int, u: int, size: int, w: int) -> None:
         sizes.append(size)
         if placed == full:
-            key = (sizes[0], tuple(sorted(sizes[1:], reverse=True)))
-            stats.setdefault(key, [0] * (n_edges + 1))[w] += 1
-        else:
-            t = ((placed + 1) & ~placed).bit_length() - 1
-            extend(placed | 1 << t, t, t, 1, w + (up[t] & placed).bit_count())
+            counts = by_sizes.get(done := tuple(sizes))
+            if counts is None:
+                counts = by_sizes[done] = [0] * (n_edges + 1)
+            counts[w] += 1
+            sizes.pop()
+            return
+        t = ((placed + 1) & ~placed).bit_length() - 1
+        extend(placed | 1 << t, t, t, 1, w + (up[t] & placed).bit_count())
         sizes.pop()
         for v in range(s + 1, m[u - 1] + 1):
             if not placed >> v & 1:
                 extend(placed | 1 << v, s, v, size + 1, w + (up[v] & placed).bit_count())
 
     extend(3, 1, 1, 1, 0)
-    del extend  # its closure cell refers to it; that cycle would hold stats until a gc
-    return {key: QPoly(counts) for key, counts in stats.items()}
+    del extend  # its closure cell refers to it; that cycle would hold by_sizes until a gc
+    stats: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for (t1, *rest), counts in by_sizes.items():
+        key = (t1, tuple(sorted(rest, reverse=True)))
+        stats[key] = list(map(add, stats[key], counts)) if key in stats else counts
+    return {key: QPoly._trusted(counts) for key, counts in stats.items()}
 
 
 @lru_cache(maxsize=None)

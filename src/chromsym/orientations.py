@@ -82,7 +82,7 @@ def ao_tally(m: Hess) -> tuple[dict[int, QPoly], dict[int, QPoly], list[tuple[in
         if not tails & 2:
             corner[ell][ups] += 1
             sink1.append((theta, ell))
-    polys = ({ell: QPoly(c) for ell, c in enumerate(t) if any(c)} for t in (everything, corner))
+    polys = ({ell: QPoly._trusted(c) for ell, c in enumerate(t) if any(c)} for t in (everything, corner))
     return *polys, sink1
 
 

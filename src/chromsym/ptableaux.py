@@ -83,7 +83,10 @@ def _search(
     as edges (x, y) to the mask: all lie in rows above, as x's row so far is a
     chain below x.  With n cells the least free value u, whose left neighbour
     is below it and so placed, must go into the next cell or the first cell of
-    a later row; the inv loop cuts a branch where none can take u.
+    a later row; the inv loop cuts a branch where none can take u.  With n
+    cells the last cell, unless fillings are kept, can only take the one value
+    y left, which then has every y' in ``higher[y]`` placed: its parent counts
+    it, with no call per leaf.
     """
     row_lengths = check_partition(row_lengths)
     counts, fillings = Counter() if by_mask else [0] * (area(m) + 1), []
@@ -97,6 +100,7 @@ def _search(
     right_of, below_ok, higher, offset = _value_masks(m)
     vals = [0] * (size + 1)  # vals[-1] stays 0, the value of a missing neighbour
     cut = size == len(m)
+    last = size - 1 if cut and not keep else 0  # the forced last cell; 0 for none
 
     def fill(k: int, free: int, inv: int, cand: int) -> None:
         nk = k + 1
@@ -114,6 +118,10 @@ def _search(
                 continue
             rest = free ^ bit
             nxt = rest & right_of[vals[lft]] & below_ok[vals[upc]]
+            if nk == last:
+                if nxt:
+                    counts[new_inv + higher[nxt.bit_length() - 1].bit_count()] += 1
+                continue
             if cut and not nxt & (u := rest & -rest):
                 for a in later[nk]:
                     if below_ok[vals[a]] & u if a < nk else rest & higher[u.bit_length() - 1]:
@@ -136,6 +144,11 @@ def _search(
                 continue
             rest = free ^ bit
             nxt = rest & right_of[vals[left[nk]]] & below_ok[vals[up[nk]]]
+            if nk == last:
+                if nxt:
+                    y = nxt.bit_length() - 1
+                    counts[new_mask | higher[y] >> y + 1 << offset[y]] += 1
+                continue
             if nxt:
                 fill_masks(nk, rest, new_mask, nxt)
 
@@ -151,7 +164,7 @@ def enumerate_pt(m: Hess, outer: Partition, corner1: bool = False) -> tuple[Fill
 
 def pt_poly(m: Hess, outer: Partition, corner1: bool = False) -> QPoly:
     """Sum of q^inv over the P-tableaux of a shape, counted without building them."""
-    return QPoly(_search(m, outer, corner1, keep=False)[0])
+    return QPoly._trusted(_search(m, outer, corner1, keep=False)[0])
 
 
 def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:

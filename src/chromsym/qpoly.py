@@ -1,8 +1,11 @@
 """Exact arithmetic for integer polynomials in q and their cyclotomic quotients.
 
 ``QPoly`` is a polynomial with arbitrary-precision ``int`` coefficients,
-stored in ascending degree order with trailing zeros stripped; any other
-coefficient type is refused.  Symmetric functions have ``QPoly`` coefficients.
+stored in ascending degree order with trailing zeros stripped.  The public
+constructor refuses any other coefficient type; the private
+``QPoly._trusted``, for int lists the package computed itself (arithmetic,
+cyclotomics, quotients and the engines' counts), only strips the zeros.
+Symmetric functions have ``QPoly`` coefficients.
 
 ``QRat`` is a scalar of Q(q) for the two places that divide: Hikita's
 transition probabilities divide by [k]_q, and modular-law certificates by
@@ -55,6 +58,17 @@ class QPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...] | list[int]) -> "QPoly":
+        """A polynomial from int coefficients the package computed itself:
+        trailing zeros stripped, and none of the public constructor's type checks."""
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(coeffs[:end]))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
@@ -83,7 +97,7 @@ class QPoly:
         return hash(("QPoly", self.coeffs))
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._trusted(tuple(-c for c in self.coeffs))
 
     def __add__(self, other) -> "QPoly":
         other = _as_poly(other)
@@ -95,7 +109,7 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return QPoly._trusted(out)
 
     __radd__ = __add__
 
@@ -128,7 +142,7 @@ class QPoly:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return QPoly(out)
+        return QPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -145,10 +159,13 @@ class QPoly:
         return result
 
     def shifted(self, k: int) -> "QPoly":
-        """Multiply by q**k."""
+        """Multiply by q**k; a nonzero polynomial raises :class:`NotDivisible`
+        for k < 0, where q**k is not in Z[q]."""
         if self.is_zero():
             return self
-        return QPoly((0,) * k + self.coeffs)
+        if k < 0:
+            raise NotDivisible(f"q^{k} is not a polynomial")
+        return QPoly._trusted((0,) * k + self.coeffs)
 
     def exact_div(self, other: "QPoly") -> "QPoly":
         """The quotient in Z[q]; raises :class:`NotDivisible` if there is none."""
@@ -245,7 +262,7 @@ def cyclotomic(d: int) -> QPoly:
         for j in range(len(out) - 1, e - 1, -1):
             out[j - e] += out[j]
         out = out[e:]
-    return QPoly(out)
+    return QPoly._trusted(out)
 
 
 # A cyclotomic factorization: sorted (d, e) pairs with e > 0, standing for
@@ -313,7 +330,7 @@ def _quotient(num: QPoly, divisor: tuple[int, ...]) -> QPoly | None:
                 rem[base + j] -= c * b
     if any(rem[:db]):
         return None
-    return QPoly(quot)
+    return QPoly._trusted(quot)
 
 
 def _strip(p: QPoly, d: int, limit: int) -> tuple[QPoly, int]:
@@ -567,4 +584,4 @@ def unpack(packed: int) -> QPoly:
     out = [d - (1 << 63) for d in digits]
     if max(map(abs, out)) > PACK_LIMIT:
         raise InvariantViolation(f"a coefficient of {out} is beyond the packed bound")
-    return QPoly(out)
+    return QPoly._trusted(out)

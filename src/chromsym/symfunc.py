@@ -170,7 +170,13 @@ def _add_product(row: list[int], a, b) -> None:
 
 
 def _from_rows(degree: int, rows: dict[Partition, list[int]]) -> SymFun:
-    return SymFun(degree, "e", {lam: QPoly(row) for lam, row in rows.items()})
+    """The SymFun with the nonzero rows as coefficients, built without the
+    constructor's checks: the rows are int lists keyed by partitions of degree."""
+    coeffs = {lam: c for lam, row in rows.items() if (c := QPoly._trusted(row))}
+    out = object.__new__(SymFun)
+    object.__setattr__(out, "degree", degree)
+    object.__setattr__(out, "coeffs", MappingProxyType(coeffs))
+    return out
 
 
 def combination(degree: int, terms) -> SymFun:
@@ -198,7 +204,7 @@ def _apply_matrix(coeffs: Mapping[Partition, QPoly], matrix) -> dict[Partition, 
     nums = (coeffs[lam].coeffs for lam in compress(basis_list, keep))
     cols = list(zip_longest(*nums, fillvalue=0))
     rows = (list(compress(row, keep)) for row in rows)
-    dots = (QPoly([sum(map(mul, row, col)) for col in cols]) for row in rows)
+    dots = (QPoly._trusted([sum(map(mul, row, col)) for col in cols]) for row in rows)
     return {lam: c for lam, c in zip(basis_list, dots) if not c.is_zero()}
 
 

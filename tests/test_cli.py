@@ -60,6 +60,13 @@ def test_compute_at_q(capsys):
     assert out.strip() == "e[2]: 2"
 
 
+def test_compute_at_q_prints_the_zero_function_as_zero(capsys):
+    # E_2 of the edgeless m = (1, 2) is zero: every format prints 0
+    argv = ["compute", "--what", "Ek", "--m", "1,2", "--k", "2"]
+    for fmt in ([], ["--tsv"], ["--at-q", "3"], ["--at-q", "3", "--tsv"]):
+        assert run(capsys, *argv, *fmt)[:2] == (0, "0\n"), fmt
+
+
 class EngineStarted(Exception):
     pass
 
@@ -306,7 +313,7 @@ def test_compute_output_bytes_are_pinned(capsys):
 def test_compute_m_basis_and_at_q_bytes_are_pinned(capsys):
     # SHA-256 of the standard output of every request for every m with n <= 5:
     # in the m basis as text, JSON and TSV, then at q = -1/2 in every basis as
-    # text and TSV, in enumeration order
+    # text and TSV, in enumeration order (a zero function prints 0 at q too)
     variants = [["--basis", "m", *fmt] for fmt in ([], ["--json"], ["--tsv"])]
     variants += [["--basis", basis, "--at-q", "-1/2", *fmt] for basis in "esm" for fmt in ([], ["--tsv"])]
     digest, count = hashlib.sha256(), 0
@@ -319,7 +326,7 @@ def test_compute_m_basis_and_at_q_bytes_are_pinned(capsys):
                     assert code == 0, argv
                     digest.update(out.encode())
                     count += 1
-    assert (count, digest.hexdigest()) == (11754, "fbabc03a215007b192c8ef3fcbe10d8cc6d2d27731a1e8af4102ee0ade44b971")
+    assert (count, digest.hexdigest()) == (11754, "58f481abbf452c472b6b37aa4d46048c008bec285c665f2e052120287a61ef14")
 
 
 def test_trace_figure_weights(capsys):

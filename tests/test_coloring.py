@@ -12,7 +12,7 @@ from chromsym.coloring import content_coefficient, x_colorings
 from chromsym.errors import SizeLimitExceeded
 from chromsym.hessenberg import edges, enumerate_hess, hsum, path
 from chromsym.partitions import partitions
-from chromsym.qpoly import QPoly, q_int
+from chromsym.qpoly import QPoly, q_fact, q_int
 from chromsym.symfunc import SymFun
 
 
@@ -65,6 +65,12 @@ def test_complete_graph():
     poly = content_coefficient((3, 3, 3), {1: 1, 2: 1, 3: 1})
     assert poly(1) == 6
     assert poly == QPoly((1, 2, 2, 1))  # [3]_q! by inv distribution
+
+
+def test_packed_counts_hold_the_largest_content_class():
+    # K_8 with 8 distinct colors: all 8! colorings in one class, the most a
+    # packed coefficient has to hold at the size limit
+    assert content_coefficient((8,) * 8, {c: 1 for c in range(1, 9)}) == q_fact(8)
 
 
 def _brute_force(m, colors):

@@ -159,7 +159,8 @@ def _inv_sum(m, fillings):
 
 
 def test_pt_poly_matches_scored_fillings():
-    for n in range(1, 6):
+    # n <= 6: shapes of n cells count their last cell in its parent, shapes of n - 1 do not
+    for n in range(1, 7):
         for m in enumerate_hess(n):
             shapes = [lam for size in (n - 1, n) for lam in partitions(size)]
             for lam in shapes:

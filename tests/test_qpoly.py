@@ -54,6 +54,15 @@ def test_exact_div_examples():
         ONE.exact_div(QPoly((2,)))
 
 
+def test_a_negative_shift_is_refused():
+    # q**k with k < 0 is not in Z[q]
+    assert QPoly((1, 2, 3)).shifted(2) == QPoly((0, 0, 1, 2, 3))
+    assert QPoly().shifted(-1) == QPoly()
+    for p in (QPoly((1, 2, 3)), Q):
+        with pytest.raises(NotDivisible):
+            p.shifted(-1)
+
+
 def test_rat_cancellation():
     r = QRat(Q, q_int(3))
     assert r * QRat(q_int(3)) == QRat(Q)

@@ -240,9 +240,14 @@ def test_every_engine_result_has_polynomial_coefficients():
         e_total, g_total, s_fun, x_schur, x_colorings, x_from_table, x_cycle_sum,
         lambda m: evaluate(reduce_to_paths(m), "E"),
     )
-    for n in range(1, 5):
+    # engine results are built without the public constructors' checks, so
+    # check here the canonical form those would give: int coefficients, the
+    # last one nonzero, and no zero entry
+    for n in range(1, 7):
         for m in enumerate_hess(n):
             values = [engine(m) for engine in engines] + [gfun(m, k) for k in range(n)]
             for f in values:
                 for basis in "esm":
-                    assert all(type(c) is QPoly for c in f.in_basis(basis).values()), (m, basis)
+                    for c in f.in_basis(basis).values():
+                        assert type(c) is QPoly and c.coeffs and c.coeffs[-1], (m, basis)
+                        assert all(type(x) is int for x in c.coeffs), (m, basis)
