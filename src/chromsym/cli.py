@@ -6,8 +6,9 @@ output; ``--at-q`` specializes only after every exact division has happened.
 A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
-every command and every suite; ``compute --what rho`` counts its ``--k`` as n
-too.  A ``--n``, ``--m`` or such ``--k`` above the limit, or a ``--n`` below 1,
+every command and every suite.  A ``--n`` or ``--m`` above the limit, a
+``--n`` below 1, or a ``compute --k`` outside its range (1 <= k <= n for Ek
+and Gk, 0 <= k < n for g and 0 <= k <= 8 for rho, n the length of ``--m``)
 is refused with exit code 2 before any work starts.  The argument parser is
 built once per process, on first use.
 
@@ -33,8 +34,8 @@ from .hessenberg import hess
 from .symfunc import SymFun
 
 
-def _check_size(args, parser: argparse.ArgumentParser) -> None:
-    """Refuse a request above the size limit, or a suite below n = 1, as a usage error."""
+def _check_size(args, parser: argparse.ArgumentParser) -> int:
+    """Refuse a request above the size limit, or a suite below n = 1, as a usage error; return n."""
     if args.command == "verify":
         n = args.n
         if n < 1:
@@ -42,10 +43,9 @@ def _check_size(args, parser: argparse.ArgumentParser) -> None:
     else:
         # hess() parses --m later, so that a malformed value stays a computation error
         n = len((args.m or "").replace(",", " ").split())
-        if args.command == "compute" and args.what == "rho":
-            n = max(n, args.k or 0)
     if n > MAX_N:
         parser.error(f"n = {n} exceeds the limit {MAX_N}")
+    return n
 
 
 # The largest default worker count that was measured: two processes on two
@@ -138,13 +138,17 @@ def _print_symfun(f: SymFun, basis: str, as_json: bool, as_tsv: bool, at_q: Frac
             print(str(c))
 
 
-def _cmd_compute(args, parser) -> int:
-    if args.what in ("Ek", "Gk", "g", "rho") and args.k is None:
+def _cmd_compute(args, parser, n: int) -> int:
+    """Refuse a request that cannot be met before any work, then compute; n is the length of --m."""
+    k_range = {"Ek": (1, n), "Gk": (1, n), "g": (0, n - 1), "rho": (0, MAX_N)}.get(args.what)
+    if k_range and args.k is None:
         parser.error(f"--what {args.what} requires --k")
     if args.what != "rho" and args.m is None:
         parser.error(f"--what {args.what} requires --m")
     if args.at_q is not None and args.json:
         parser.error("--at-q cannot be combined with --json")
+    if k_range and not k_range[0] <= args.k <= k_range[1]:
+        parser.error(f"--k = {args.k} is outside {list(k_range)} for --what {args.what}")
     if args.m is not None:
         m = hess(args.m)
     if args.what == "X":
@@ -210,12 +214,12 @@ def _cmd_trace(args) -> int:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    _check_size(args, parser)
+    n = _check_size(args, parser)
     if args.command == "verify":
         _check_jobs(args, parser)
     try:
         if args.command == "compute":
-            return _cmd_compute(args, parser)
+            return _cmd_compute(args, parser, n)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "reduce":

@@ -89,7 +89,6 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     return QPoly._trusted([packed >> WIDTH * inv & low for inv in range(area(m) + 1)])
 
 
-@lru_cache(maxsize=None)
 def x_colorings(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function, counted in the monomial basis.
 

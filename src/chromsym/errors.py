@@ -48,11 +48,3 @@ class InvalidFilling(ValueError):
 
 class IsBaseTableau(ValueError):
     """Raised when the peel step is applied to the single-column base tableau."""
-
-
-class NotFlat(ValueError):
-    """Raised when a flat-only reduction step is applied to a non-flat function."""
-
-
-class NotNonFlat(ValueError):
-    """Raised when a non-flat-only reduction step is applied elsewhere."""

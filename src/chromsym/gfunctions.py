@@ -147,7 +147,6 @@ def _g_caps(m: Hess) -> tuple[SymFun, ...]:
     return (*caps, combination(n, ((1, cap) for cap in caps)))
 
 
-@lru_cache(maxsize=None)
 def x_cycle_sum(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function as a full cycle-type sum."""
     stats = _cycle_stats(m).items()

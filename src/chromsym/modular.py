@@ -4,7 +4,8 @@ A function f on Hessenberg functions satisfies the restricted modular law if
 (1+q) f(m') = q f(m) + f(m'') over every type-I triple and every type-II
 triple with index i != 1.  Any such f is determined by its values on
 disjoint unions of paths; :func:`reduce_to_paths` makes that effective by
-emitting a certificate mapping path decompositions to Q(q) coefficients.
+emitting a certificate mapping path decompositions to Q(q) coefficients, one
+:func:`reduction_step` at a time.
 Each step multiplies by 1 + q, -q, 1 or +-q/(1+q), so every coefficient is an
 integer numerator over a power of 1 + q; certificates are summed as such, on
 packed integers, and each distinct value is one shared ``QRat`` (see :mod:`.qpoly`).
@@ -26,22 +27,23 @@ from json import loads
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import DegreeMismatch, InvariantViolation, NotFlat, NotNonFlat, check_size
+from .errors import DegreeMismatch, InvariantViolation, check_size
 from .gfunctions import path_e_closed, path_x_closed
 from .hessenberg import (
     Flat,
     Hess,
-    NonFlat,
     UnionOfPaths,
     classify,
     enumerate_hess,
     hess_error,
+    path_components,
 )
-from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, RAT_ZERO, Q, QRat, q_int
+from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
 Certificate = Mapping[tuple[int, ...], QRat]
 Triple = tuple[Hess, Hess, Hess, int]
+Term = tuple[int, int, int, Hess]
 
 _ONE_PLUS_Q = q_int(2)
 
@@ -55,9 +57,6 @@ def is_type1(m: Hess, mp: Hess, mpp: Hess, i: int) -> bool:
         return False
     v = mp[i - 1]
     if not (m[i - 1] + 1 == v == mpp[i - 1] - 1):
-        return False
-    left = mp[i - 2] if i >= 2 else 0
-    if not (left < v < mp[i]):
         return False
     if v + 1 > n or mp[v - 1] != mp[v]:
         return False
@@ -107,39 +106,36 @@ def enumerate_triples(n: int, kind: str) -> tuple[Triple, ...]:
     return tuple(out)
 
 
-def split_flat(m: Hess) -> tuple[Hess, Hess]:
-    """Lower m at beta by 2 and by 1; (m0, m1, m) is a type-I triple."""
-    shape = classify(m)
-    if not isinstance(shape, Flat):
-        raise NotFlat(f"{m} is not flat")
-    b = shape.beta
-    m0 = m[: b - 1] + (m[b - 1] - 2,) + m[b:]
-    m1 = m[: b - 1] + (m[b - 1] - 1,) + m[b:]
-    if not is_type1(m0, m1, m, b):
-        raise InvariantViolation(f"flat split broke the type-I predicate at {m}")
-    return m0, m1
+def reduction_step(m: Hess) -> tuple[Term, ...]:
+    """The terms (sign, s, t, m~) of one step of the restricted law at m:
+    f(m) = sum sign * q**s * (1+q)**t * f(m~) for every f that satisfies it.
 
-
-def split_nonflat(m: Hess) -> tuple[Hess, Hess, Hess]:
-    """The three companions (m0, m0_1, m_1) of a non-flat function.
-
-    Internally raises m at alpha to form m2; (m0, m, m2) is a restricted
-    type-II triple and (m0_1, m_1, m2) a type-I triple, giving
-    (1+q) f(m) = (1+q) f(m_1) + q f(m0) - q f(m0_1).
+    A flat m, lowered at beta by 2 and by 1 to m0 and m1, gives the type-I
+    triple (m0, m1, m): f(m) = (1+q) f(m1) - q f(m0).  A non-flat m, raised
+    at alpha to m2, gives the restricted type-II triple (m0, m, m2) and the
+    type-I triple (m0_1, m_1, m2): f(m) = f(m_1) + q/(1+q) (f(m0) - f(m0_1)).
+    A union of paths has no step and raises ``ValueError``.
     """
     shape = classify(m)
-    if not isinstance(shape, NonFlat):
-        raise NotNonFlat(f"{m} is not non-flat")
-    a, b = shape.alpha, shape.beta
+    if isinstance(shape, UnionOfPaths):
+        raise ValueError(f"{m} is a union of paths")
+    b = shape.beta
+    if isinstance(shape, Flat):
+        m0 = m[: b - 1] + (m[b - 1] - 2,) + m[b:]
+        m1 = m[: b - 1] + (m[b - 1] - 1,) + m[b:]
+        if not is_type1(m0, m1, m, b):
+            raise InvariantViolation(f"flat step broke the type-I predicate at {m}")
+        return ((1, 0, 1, m1), (-1, 1, 0, m0))
+    a = shape.alpha
     m0 = m[:a] + (m[a] - 1,) + m[a + 1 :]
     m2 = m[: a - 1] + (m[a - 1] + 1,) + m[a:]
     m0_1 = m2[: b - 1] + (m2[b - 1] - 2,) + m2[b:]
     m_1 = m2[: b - 1] + (m2[b - 1] - 1,) + m2[b:]
     if not is_type2(m0, m, m2, a, restricted=True):
-        raise InvariantViolation(f"non-flat split broke type II at {m}")
+        raise InvariantViolation(f"non-flat step broke type II at {m}")
     if not is_type1(m0_1, m_1, m2, b):
-        raise InvariantViolation(f"non-flat split broke type I at {m}")
-    return m0, m0_1, m_1
+        raise InvariantViolation(f"non-flat step broke type I at {m}")
+    return ((1, 0, 0, m_1), (1, 1, -1, m0), (-1, 1, -1, m0_1))
 
 
 def _combine(terms: tuple[tuple[int, int, int, Hess], ...]) -> Certificate:
@@ -173,14 +169,10 @@ def reduce_to_paths(m: Hess) -> Certificate:
     read-only view.
     """
     check_size(len(m))
-    shape = classify(m)
-    if isinstance(shape, UnionOfPaths):
-        return MappingProxyType({shape.parts: QRat.over_one_plus_q(1, 0)})
-    if isinstance(shape, Flat):  # f(m) = (1+q) f(m1) - q f(m0)
-        m0, m1 = split_flat(m)
-        return _combine(((1, 0, 1, m1), (-1, 1, 0, m0)))
-    m0, m0_1, m_1 = split_nonflat(m)  # f(m) = f(m_1) + q/(1+q) (f(m0) - f(m0_1))
-    return _combine(((1, 0, 0, m_1), (1, 1, -1, m0), (-1, 1, -1, m0_1)))
+    parts = path_components(m)
+    if parts is not None:
+        return MappingProxyType({parts: QRat.over_one_plus_q(1, 0)})
+    return _combine(reduction_step(m))
 
 
 def law_defect(f: Callable[[Hess], SymFun], triple: Triple) -> SymFun:
@@ -207,23 +199,22 @@ BASES = dict.fromkeys("EGS", path_union_closed)
 def evaluate(cert: Certificate, base) -> SymFun:
     """Contract a certificate with a base on path unions; "E", "G", "S" name the closed form.
 
-    The sum is taken over Q(q) per partition; one that leaves Z[q] raises NotDivisible.
+    Coefficients must be over powers of 1 + q, as in every certificate made or
+    read back: each is put over the largest denominator, one ``combination``
+    sums the numerators times the base values, and the sum is divided back.
+    A sum outside Z[q], or a denominator that does not divide the largest,
+    raises NotDivisible.
     """
     if isinstance(base, str):
         base = BASES[base]
     degrees = {sum(key) for key in cert}
     if len(degrees) != 1:
         raise DegreeMismatch(f"a certificate has one degree, not {sorted(degrees)}")
-    out: dict[tuple[int, ...], QRat] = {}
-    for key, coeff in sorted(cert.items()):
-        value = base(key)
-        if value.degree != sum(key):
-            raise DegreeMismatch(
-                f"base value for {key} has degree {value.degree}, expected {sum(key)}"
-            )
-        for lam, c in value.coeffs.items():
-            out[lam] = out.get(lam, RAT_ZERO) + coeff * c
-    return SymFun(degrees.pop(), "e", {lam: v.as_poly() for lam, v in out.items()})
+    degree = degrees.pop()
+    top = max((c.den for c in cert.values()), key=lambda den: den.degree)
+    terms = [(c.num * top.exact_div(c.den), base(key)) for key, c in cert.items()]
+    total = combination(degree, terms).coeffs
+    return SymFun(degree, "e", {lam: c.exact_div(top) for lam, c in total.items()})
 
 
 @lru_cache(maxsize=None)

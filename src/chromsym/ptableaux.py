@@ -185,7 +185,6 @@ def s_fun(m: Hess) -> SymFun:
     return _schur_sum(m, corner1=True)
 
 
-@lru_cache(maxsize=None)
 def x_schur(m: Hess) -> SymFun:
     """Schur expansion of the chromatic quasisymmetric function via P-tableaux."""
     return _schur_sum(m, corner1=False)

@@ -461,12 +461,6 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def as_poly(self) -> QPoly:
-        """The underlying polynomial; raises :class:`NotDivisible` otherwise."""
-        if not self.den.is_one():
-            raise NotDivisible(f"{self} is not a polynomial")
-        return self.num
-
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 

@@ -172,6 +172,24 @@ def test_rho_k_above_the_limit_is_a_usage_error(no_engine_runs):
         main(["compute", "--what", "rho", "--k", "8"])
 
 
+def test_k_outside_its_range_is_a_usage_error(capsys, no_engine_runs):
+    # --m has n = 3 entries: Ek and Gk take 1 <= k <= 3, g 0 <= k < 3, rho 0 <= k <= 8
+    for what, refused, accepted in (
+        ("Ek", (0, 4), (1, 3)),
+        ("Gk", (0, 4), (1, 3)),
+        ("g", (-1, 3), (0, 2)),
+        ("rho", (-1, 9), (0, 8)),
+    ):
+        for k in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "--what", what, "--m", "2,3,3", "--k", str(k)])
+            assert exc.value.code == 2, (what, k)
+            assert "--k" in capsys.readouterr().err
+        for k in accepted:
+            with pytest.raises(EngineStarted):
+                main(["compute", "--what", what, "--m", "2,3,3", "--k", str(k)])
+
+
 class SuiteStarted(Exception):
     pass
 

@@ -167,6 +167,13 @@ def test_content_must_be_a_multiset_of_size_n():
         content_coefficient((1, 2), {1: 1})
 
 
+def test_content_coefficient_accepts_a_zero_multiplicity():
+    # a color used zero times changes nothing: only the order of the used colors counts
+    m = (2, 3, 3)
+    assert content_coefficient(m, {1: 2, 2: 0, 3: 1}) == content_coefficient(m, {1: 2, 3: 1})
+    assert content_coefficient(m, {1: 2, 2: 0, 3: 1}) == QPoly((0, 1))
+
+
 def test_coloring_imports_no_other_engine():
     engines = {"ptableaux", "transition", "gfunctions", "orientations", "modular"}
     tree = ast.parse(Path(coloring.__file__).read_text())

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from chromsym import gfunctions, modular, transition
-from chromsym.errors import DegreeMismatch, NotDivisible, NotFlat, NotNonFlat
+from chromsym.errors import DegreeMismatch, NotDivisible
 from chromsym.gfunctions import g_total
-from chromsym.hessenberg import area, enumerate_hess, hsum, path
+from chromsym.hessenberg import area, classify, enumerate_hess, hsum, path, path_components
 from chromsym.modular import (
     certificate_from_json,
     certificate_json,
@@ -23,12 +23,11 @@ from chromsym.modular import (
     is_type2,
     law_defect,
     reduce_to_paths,
-    split_flat,
-    split_nonflat,
+    reduction_step,
 )
 from chromsym.partitions import compositions
 from chromsym.ptableaux import s_fun
-from chromsym.qpoly import ONE, RAT_ONE, QRat, q_int
+from chromsym.qpoly import ONE, RAT_ONE, Q, QRat, q_int
 from chromsym.symfunc import SymFun
 from chromsym.transition import e_total
 
@@ -61,33 +60,66 @@ def test_enumerated_triples_satisfy_predicates():
             assert is_type2(m, mp, mpp, i, restricted=True)
 
 
-def test_split_flat_example():
-    assert split_flat((2, 4, 4, 4)) == ((2, 2, 4, 4), (2, 3, 4, 4))
-    m0, m1 = split_flat((2, 4, 4, 4))
-    assert is_type1(m0, m1, (2, 4, 4, 4), 2)
-    with pytest.raises(NotFlat):
-        split_flat(path(4))
+def step_factor(sign, s, t):
+    """sign * q**s * (1+q)**t as a QRat."""
+    return QRat(sign * Q**s * q_int(2) ** max(t, 0), q_int(2) ** max(-t, 0))
 
 
-def test_split_nonflat_example():
+def certificate_sum(m):
+    """The law's terms at m summed over Q(q), each factor times its child's certificate."""
+    combined = {}
+    for sign, s, t, child in reduction_step(m):
+        for key, c in reduce_to_paths(child).items():
+            combined[key] = combined.get(key, QRat(0)) + step_factor(sign, s, t) * c
+    return {k: v for k, v in combined.items() if not v.is_zero()}
+
+
+def test_reduction_step_flat_example():
+    m = (2, 4, 4, 4)
+    assert reduction_step(m) == ((1, 0, 1, (2, 3, 4, 4)), (-1, 1, 0, (2, 2, 4, 4)))
+    assert is_type1((2, 2, 4, 4), (2, 3, 4, 4), m, 2)
+
+
+def test_reduction_step_nonflat_example():
     m = (2, 4, 4, 5, 5)
-    m0, m0_1, m_1 = split_nonflat(m)
-    assert (m0, m0_1, m_1) == ((2, 4, 4, 4, 5), (2, 2, 5, 5, 5), (2, 3, 5, 5, 5))
+    terms = reduction_step(m)
+    m_1, m0, m0_1 = (child for *_, child in terms)
+    assert terms == (
+        (1, 0, 0, (2, 3, 5, 5, 5)),
+        (1, 1, -1, (2, 4, 4, 4, 5)),
+        (-1, 1, -1, (2, 2, 5, 5, 5)),
+    )
     assert area(m0) < area(m) and area(m0_1) < area(m)
     assert area(m_1) == area(m)
-    with pytest.raises(NotNonFlat):
-        split_nonflat((2, 4, 4, 4))
+
+
+def test_reduction_step_refuses_a_union_of_paths():
+    for m in (path(4), (1, 3, 3), (2, 2, 3), (1,)):
+        with pytest.raises(ValueError):
+            reduction_step(m)
+
+
+def test_reduction_classifies_each_m_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return classify(m)
+
+    monkeypatch.setattr(modular, "classify", counted)
+    reduce_to_paths.cache_clear()
+    ms = [m for n in range(1, 8) for m in enumerate_hess(n)]
+    for m in ms:
+        reduce_to_paths(m)
+    assert sorted(calls) == sorted(m for m in ms if path_components(m) is None)
 
 
 def test_area_is_not_modular():
     # sanity for the checker: the law fails for f = area as a constant
-    from chromsym.qpoly import Q, QPoly
-
     m = (2, 4, 4, 4)
-    m0, m1 = split_flat(m)
-    lhs = QRat(QPoly((1, 1))) * QRat(area(m1))
-    rhs = QRat(Q) * QRat(area(m0)) + QRat(area(m))
-    assert lhs != rhs
+    terms = reduction_step(m)
+    law = sum((step_factor(sign, s, t) * QRat(area(child)) for sign, s, t, child in terms), QRat(0))
+    assert law != QRat(area(m))
 
 
 def test_reduce_path_case():
@@ -98,29 +130,12 @@ def test_reduce_path_case():
 
 def test_reduce_flat_merges_children():
     m = (2, 4, 4, 4)
-    m0, m1 = split_flat(m)
-    from chromsym.qpoly import QPoly, Q
-
-    combined = {}
-    for key, c in reduce_to_paths(m1).items():
-        combined[key] = combined.get(key, QRat(0)) + QRat(QPoly((1, 1))) * c
-    for key, c in reduce_to_paths(m0).items():
-        combined[key] = combined.get(key, QRat(0)) + QRat(-Q) * c
-    combined = {k: v for k, v in combined.items() if not v.is_zero()}
-    assert combined == reduce_to_paths(m)
+    assert certificate_sum(m) == reduce_to_paths(m)
 
 
 def test_reduce_nonflat_merges_children():
     m = (2, 4, 4, 5, 5)
-    m0, m0_1, m_1 = split_nonflat(m)
-    from chromsym.qpoly import Q
-
-    ratio = QRat(Q, q_int(2))
-    combined = {}
-    for child, factor in ((m_1, QRat(1)), (m0, ratio), (m0_1, -ratio)):
-        for key, c in reduce_to_paths(child).items():
-            combined[key] = combined.get(key, QRat(0)) + factor * c
-    combined = {k: v for k, v in combined.items() if not v.is_zero()}
+    combined = certificate_sum(m)
     assert combined == reduce_to_paths(m)
     assert any(not c.den.is_one() for c in combined.values())
 
@@ -243,6 +258,10 @@ def test_evaluate_refuses_a_value_outside_polynomials():
     with pytest.raises(NotDivisible):
         evaluate({(1,): QRat(ONE, q_int(2))}, "E")
     assert evaluate({(1,): QRat(q_int(2), q_int(2))}, "E") == SymFun.e_term((1,))
+    # a denominator that does not divide the largest, and a sum over (1+q)**3 that leaves Z[q]
+    for den in (q_int(3), q_int(2) ** 3):
+        with pytest.raises(NotDivisible):
+            evaluate({(2,): QRat(ONE, q_int(2)), (1, 1): QRat(ONE, den)}, "E")
 
 
 def test_checker_passes_for_s_small():

@@ -238,9 +238,9 @@ def test_kernels_leave_no_reference_cycles():
         lambda: hook_theta_counts(m, 2),
         lambda: ao_tally(m),
         lambda: gfunctions._cycle_stats.__wrapped__(m),
-        lambda: coloring.x_colorings.__wrapped__(m),
+        lambda: coloring.x_colorings(m),
         # the stable sets and memo of one m at a time: this evicts those of m, and m evicts these
-        lambda: coloring.x_colorings.__wrapped__((2, 4, 5, 5, 5)),
+        lambda: coloring.x_colorings((2, 4, 5, 5, 5)),
     ]
     for call in calls:
         call()

@@ -98,6 +98,18 @@ def test_peel_paper_examples():
     assert path_unpeel(s2, j2, (5, 5, 3, 3, 3, 1, 1)) == t2
 
 
+def test_unpeel_refuses_j_outside_the_strip():
+    # the strip of the first paper example has 6 cells, so j runs over 1..5
+    t1 = ((1, 4, 7, 12, 18), (3, 5, 10, 14, 17), (2, 9, 13), (6, 8, 16), (11, 15, 19), (20,), (21,))
+    outer = (5, 5, 3, 3, 3, 1, 1)
+    s1, _ = path_peel(t1)
+    for j in (0, 6):
+        with pytest.raises(ValueError):
+            path_unpeel(s1, j, outer)
+    for j in (1, 5):
+        assert path_peel(path_unpeel(s1, j, outer)) == (s1, j)
+
+
 def test_peel_smallest_case():
     tabs = enumerate_pt(path(3), (2, 1), corner1=True)
     assert tabs == (((1, 3), (2,)),)

@@ -253,7 +253,7 @@ def reference_e_parts(m):
     for (lam, k), total in sums.items():
         for part in lam:
             total = total * QRat(q_fact(part))
-        parts[k - 1][lam] = QRat(total.num, total.den * q_int(k)).as_poly()
+        parts[k - 1][lam] = total.num.exact_div(total.den * q_int(k))
     return [SymFun(n, "e", coeffs) for coeffs in parts]
 
 
