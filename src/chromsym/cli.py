@@ -25,7 +25,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import coloring, gfunctions, modular, ptableaux, transition, verify
@@ -65,6 +64,8 @@ def _check_jobs(args, parser: argparse.ArgumentParser) -> None:
 
 def _rational(text: str) -> Fraction:
     """Parse --at-q, so that a malformed value is refused before any work."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

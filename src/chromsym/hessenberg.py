@@ -9,9 +9,9 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvariantViolation
 
@@ -105,21 +105,30 @@ def path_components(m: Hess) -> tuple[int, ...] | None:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
-@dataclass(frozen=True)
-class UnionOfPaths:
-    parts: tuple[int, ...]
+class _Shape(tuple):
+    """A named tuple equal only to one of its own class: Flat(3, 2) != NonFlat(3, 2) != (3, 2)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Flat:
-    alpha: int
-    beta: int
+class UnionOfPaths(_Shape, namedtuple("UnionOfPaths", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NonFlat:
-    alpha: int
-    beta: int
+class Flat(_Shape, namedtuple("Flat", "alpha beta")):
+    __slots__ = ()
+
+
+class NonFlat(_Shape, namedtuple("NonFlat", "alpha beta")):
+    __slots__ = ()
 
 
 def classify(m: Hess) -> UnionOfPaths | Flat | NonFlat:

@@ -22,10 +22,10 @@ one closed form, :func:`path_union_closed`, and the engines stay independent.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 from json import loads
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 from .errors import DegreeMismatch, InvariantViolation, check_size
 from .gfunctions import path_e_closed, path_x_closed

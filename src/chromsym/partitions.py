@@ -7,8 +7,8 @@ enumeration orders are deterministic so test snapshots stay stable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import SizeMismatch
 

@@ -39,7 +39,6 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, NotCyclotomic, NotDivisible
@@ -178,6 +177,8 @@ class QPoly:
 
     def __call__(self, q0: int | Fraction) -> Fraction:
         """Evaluate at an exact rational point."""
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * q0 + c

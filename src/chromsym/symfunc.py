@@ -15,12 +15,11 @@ hand one cached value to every caller.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Mapping
 from functools import lru_cache, reduce
 from itertools import compress, zip_longest
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
@@ -37,6 +36,11 @@ def _coerce(c) -> QPoly:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+@lru_cache(maxsize=None)
+def _partition_set(n: int) -> frozenset[Partition]:
+    return frozenset(partitions(n))
+
+
 class SymFun:
     """A homogeneous symmetric function in elementary-basis coordinates."""
 
@@ -49,7 +53,7 @@ class SymFun:
         clean: dict[Partition, QPoly] = {}
         for lam, c in (coeffs or {}).items():
             lam = tuple(lam)
-            if sum(lam) != degree:
+            if lam not in _partition_set(degree):
                 raise DegreeMismatch(f"{lam} is not a partition of {degree}")
             c = _coerce(c)
             if not c.is_zero():

@@ -627,6 +627,31 @@ def run_alone(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+COLD_IMPORT_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import chromsym.cli
+unused = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal", "numbers", "typing")
+print(sorted(name for name in unused if name in sys.modules))
+chromsym.cli.main(["compute", "--what", "X", "--m", "2,2", "--at-q", "1/2"])
+print("fractions" in sys.modules)
+"""
+
+
+def test_cold_import_leaves_unused_stdlib_unloaded():
+    """Importing the CLI loads no stdlib module that only --at-q or annotations use.
+
+    Under ``python -S`` the site module imports nothing first, so what is
+    loaded is what chromsym imports.  ``--at-q`` then loads ``fractions``.
+    """
+    src = str(Path(chromsym.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_IMPORT_CHECK, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "e[2]: 3/2", "True"]
+
+
 def test_calls_in_one_process_match_calls_alone(capsys):
     calls = [
         ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],

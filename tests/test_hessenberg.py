@@ -98,6 +98,25 @@ def test_classify_examples():
     assert classify(path(5)) == UnionOfPaths((5,))
 
 
+def test_classify_shapes_are_immutable_values_of_their_own_type():
+    assert Flat(3, 2) != NonFlat(3, 2)
+    assert not Flat(3, 2) == NonFlat(3, 2)
+    assert Flat(3, 2) != (3, 2) and (3, 2) != Flat(3, 2)
+    assert UnionOfPaths((5,)) != (5,)
+    assert Flat(3, 2) == Flat(alpha=3, beta=2) == Flat(3, beta=2)
+    assert hash(Flat(3, 2)) == hash(Flat(alpha=3, beta=2))
+    assert hash(UnionOfPaths((2, 1))) == hash(UnionOfPaths(parts=(2, 1)))
+    assert len({Flat(3, 2), Flat(alpha=3, beta=2), NonFlat(3, 2)}) == 2
+    shape = NonFlat(alpha=3, beta=2)
+    assert (shape.alpha, shape.beta) == (3, 2)
+    assert UnionOfPaths(parts=(2, 1)).parts == (2, 1)
+    with pytest.raises(AttributeError):
+        shape.alpha = 4
+    with pytest.raises(AttributeError):
+        shape.gamma = 1
+    assert shape == NonFlat(3, 2)
+
+
 def _reference_path_components(m):
     """Path component sizes from a graph search over edges(m): the reference."""
     n = len(m)

@@ -128,6 +128,19 @@ def test_degree_mismatch_rejected():
         SymFun(2, "e", {(1,): QRat(1)})
 
 
+def test_keys_that_are_not_partitions_are_refused():
+    # each key sums to the degree, so a test of the sum alone let them in:
+    # an s or m key was silently dropped, an e key kept unsorted
+    for basis in "esm":
+        for key in ((1, 2), (3, 0), (2, 0, 1), (0, 3)):
+            with pytest.raises(DegreeMismatch, match="is not a partition of 3"):
+                SymFun(3, basis, {key: 1})
+        assert SymFun(3, basis, {(2, 1): 1}) == SymFun.term(basis, (1, 2))
+    with pytest.raises(DegreeMismatch):
+        SymFun.term("e", (2, 0, 1))
+    assert SymFun.term("e", ()) == SymFun.one()
+
+
 def test_combination_matches_the_fold_of_scaled_and_add():
     rng = random.Random(5)
     scalars = (0, 1, -2, ZERO, Q, QPoly((1, -1, 2)))
