@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
-A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error.
+A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error, and
+so is an option the request cannot use: ``--method`` for anything but X, or
+``--k`` for X, E, G or S.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite.  A ``--n`` or ``--m`` above the limit, a
@@ -87,9 +89,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="grading index where applicable")
     p.add_argument(
         "--method",
-        default="coloring",
         choices=["coloring", "transition", "cycle-sum", "schur"],
-        help="which engine computes X",
+        help="which engine computes X (default coloring)",
     )
     p.add_argument(
         "--at-q", dest="at_q", type=_rational, help="evaluate coefficients at an exact rational q"
@@ -144,6 +145,10 @@ def _cmd_compute(args, parser, n: int) -> int:
     k_range = {"Ek": (1, n), "Gk": (1, n), "g": (0, n - 1), "rho": (0, MAX_N)}.get(args.what)
     if k_range and args.k is None:
         parser.error(f"--what {args.what} requires --k")
+    if not k_range and args.k is not None:
+        parser.error(f"--what {args.what} takes no --k")
+    if args.method is not None and args.what != "X":
+        parser.error(f"--method selects the engine for --what X only, not --what {args.what}")
     if args.what != "rho" and args.m is None:
         parser.error(f"--what {args.what} requires --m")
     if args.at_q is not None and args.json:
@@ -159,7 +164,7 @@ def _cmd_compute(args, parser, n: int) -> int:
             "cycle-sum": lambda: gfunctions.x_cycle_sum(m),
             "schur": lambda: ptableaux.x_schur(m),
         }
-        f = engines[args.method]()
+        f = engines[args.method or "coloring"]()
     elif args.what == "E":
         f = transition.e_total(m)
     elif args.what == "Ek":

@@ -32,10 +32,14 @@ def hess_error(m: tuple[int, ...]) -> str | None:
 
 
 def hess(values) -> Hess:
-    """Validate and normalize a Hessenberg function."""
+    """Validate and normalize a Hessenberg function: a string is parsed to
+    ints first, and any other entry that is not an ``int`` is refused."""
     if isinstance(values, str):
         values = [int(x) for x in values.replace(",", " ").split()]
-    m = tuple(int(v) for v in values)
+    m = tuple(values)
+    for i, v in enumerate(m, start=1):
+        if type(v) is not int:
+            raise ValueError(f"entry {v!r} at position {i} is not an int")
     error = hess_error(m)
     if error is not None:
         raise ValueError(error)

@@ -10,11 +10,14 @@ Symmetric functions have ``QPoly`` coefficients.
 ``QRat`` is a scalar of Q(q) for the two places that divide: Hikita's
 transition probabilities divide by [k]_q, and modular-law certificates by
 1 + q.  [k]_q is the product of the cyclotomic polynomials Phi_d over the
-divisors d > 1 of k, so a ``QRat`` is an integer numerator over a product of
-Phi_d**e_d (d >= 2), stored as the exponents e_d.  Products add exponents;
-sums take the per-d maximum and scale each numerator by the missing factors.
-Both then strip each Phi_d from the numerator by exact division while it
-divides and its exponent lasts.  The Phi_d are monic with integer
+divisors d > 1 of k.  One form writes every such product: the monomial
+q**v[0] * prod Phi_d**v[d] (d >= 2) is the int vector v (``Monomial``), with
+v[1] = 0; :func:`split` parts its signs, and :meth:`QRat.monomial` makes it a
+value.  A ``QRat`` is an integer numerator over the monomial of a vector with
+v[0] = 0 and no negative entry, kept as that vector.  Products add vectors;
+sums take their entrywise maximum and scale each numerator by the
+difference.  Both then strip each Phi_d from the numerator by exact division
+while it divides and its exponent lasts.  The Phi_d are monic with integer
 coefficients, so numerators stay integral, and they are irreducible, so the
 stripped numerator is coprime to its denominator and equality is a
 field-wise comparison.  A denominator that is not plus or minus such a
@@ -30,7 +33,8 @@ so its coefficients stay below 2**52.  :meth:`QRat.over_one_plus_q` divides by
 c (1+q)**K has coefficients below 2**50 and the sum's packed value, and both
 lie inside +-2**63, so it is the sum; the remainder that stopped the loop is
 c(-1) mod 2**64 + 1, so 1 + q does not divide c.  Each distinct (numerator,
-power) is one shared ``QRat``, which keeps its packed form (:meth:`QRat.packed_form`).
+power) is one shared ``QRat`` over the vector (0, 0, K), which keeps its
+packed form (:meth:`QRat.packed_form`).
 
 ``Fraction`` appears only where a value is evaluated at a rational q.  No
 floating point is used anywhere.
@@ -40,6 +44,8 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import starmap, zip_longest
+from operator import add, sub
 
 from .errors import InvariantViolation, NotCyclotomic, NotDivisible
 
@@ -93,6 +99,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant hashes as the int it equals, the zero polynomial as 0
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0]) if self.coeffs else 0
         return hash(("QPoly", self.coeffs))
 
     def __neg__(self) -> "QPoly":
@@ -266,46 +275,38 @@ def cyclotomic(d: int) -> QPoly:
     return QPoly._trusted(out)
 
 
-# A cyclotomic factorization: sorted (d, e) pairs with e > 0, standing for
-# the product of Phi_d**e.
-Exps = tuple[tuple[int, int], ...]
+# A cyclotomic monomial q**v[0] * prod Phi_d**v[d] (d >= 2) as the int
+# vector v, with v[1] = 0 (Phi_1 = q - 1 is never a factor).  A denominator
+# has v[0] = 0, no negative entry and no trailing zero; () stands for 1.
+Monomial = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_product(exps: Exps) -> QPoly:
-    """The product of Phi_d**e over the pairs (d, e) of exps."""
+def cyclotomic_product(v: Monomial) -> QPoly:
+    """q**v[0] times the product of Phi_d**v[d] over d >= 2, for v with no negative entry."""
     out = ONE
-    for d, e in exps:
-        out = out * cyclotomic(d) ** e
-    return out
+    for d in range(2, len(v)):
+        if v[d]:
+            out = out * cyclotomic(d) ** v[d]
+    return out.shifted(v[0]) if v else out
 
 
-def _exps_add(a: Exps, b: Exps) -> Exps:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for d, e in b:
-        out[d] = out.get(d, 0) + e
-    return tuple(sorted(out.items()))
+def _trim(v) -> Monomial:
+    end = len(v)
+    while end and not v[end - 1]:
+        end -= 1
+    return tuple(v[:end])
 
 
-def _exps_lcm(a: Exps, b: Exps) -> tuple[Exps, Exps, Exps]:
-    """The per-d maximum of a and b, and what each of a and b lacks of it."""
-    if a == b:
-        return a, (), ()
-    top = dict(a)
-    for d, e in b:
-        top[d] = max(top.get(d, 0), e)
-    lcm = tuple(sorted(top.items()))
-    return lcm, _exps_lack(lcm, a), _exps_lack(lcm, b)
+def _entrywise(f, a: Monomial, b: Monomial) -> Monomial:
+    """f of each pair of entries of a and b, the shorter padded with zeros."""
+    return tuple(starmap(f, zip_longest(a, b, fillvalue=0)))
 
 
-def _exps_lack(whole: Exps, part: Exps) -> Exps:
-    """The exponents by which part falls short of whole."""
-    have = dict(part)
-    return tuple((d, e - have.get(d, 0)) for d, e in whole if e > have.get(d, 0))
+def split(v) -> tuple[Monomial, Monomial]:
+    """(up, down): the positive and the negated negative entries of v, so
+    that v = up - down, each without trailing zeros."""
+    return _trim([e if e > 0 else 0 for e in v]), _trim([-e if e < 0 else 0 for e in v])
 
 
 def _quotient(num: QPoly, divisor: tuple[int, ...]) -> QPoly | None:
@@ -344,23 +345,23 @@ def _strip(p: QPoly, d: int, limit: int) -> tuple[QPoly, int]:
     return p, times
 
 
-def _cancel(num: QPoly, exps: Exps) -> tuple[QPoly, Exps]:
-    """Remove from num / prod Phi_d**e every factor num shares with it."""
+def _cancel(num: QPoly, den: Monomial) -> tuple[QPoly, Monomial]:
+    """Remove from num / cyclotomic_product(den) every factor num shares with it."""
     if num.is_zero():
         return ZERO, ()
-    if not exps:
-        return num, exps
-    kept = []
-    for d, e in exps:
-        num, times = _strip(num, d, e)
-        if times < e:
-            kept.append((d, e - times))
-    return num, tuple(kept)
+    if not den:
+        return num, den
+    kept = list(den)
+    for d in range(2, len(den)):
+        if den[d]:
+            num, times = _strip(num, d, den[d])
+            kept[d] -= times
+    return num, _trim(kept)
 
 
 @lru_cache(maxsize=None)
-def _factor(den: QPoly) -> Exps:
-    """Factor den as prod Phi_d**e (d >= 2), or raise :class:`NotCyclotomic`.
+def _factor(den: QPoly) -> Monomial:
+    """Factor den as prod Phi_d**v[d] (d >= 2), or raise :class:`NotCyclotomic`.
 
     Phi_d has degree phi(d), which is at least sqrt(d) for d > 6, so trying
     every d up to the square of the degree left, with phi(d) no larger than
@@ -373,24 +374,23 @@ def _factor(den: QPoly) -> Exps:
         if phi[p] == p:  # p is prime: every multiple loses the factor 1 - 1/p
             for k in range(p, bound + 1, p):
                 phi[k] -= phi[k] // p
-    exps, rest, d = [], den, 1
-    while rest.degree > 0 and d < max(6, rest.degree**2):
-        d += 1
+    v, rest = [0, 0], den
+    while rest.degree > 0 and (d := len(v)) <= max(6, rest.degree**2):
+        times = 0
         if phi[d] <= rest.degree:
             rest, times = _strip(rest, d, rest.degree)
-            if times:
-                exps.append((d, times))
+        v.append(times)
     if not rest.is_one():
         raise NotCyclotomic(f"{den} is not a product of Phi_d for d >= 2")
-    return tuple(exps)
+    return _trim(v)
 
 
 class QRat:
-    """A rational function in q: an integer numerator over prod Phi_d**e_d.
+    """A rational function in q: an integer numerator over prod Phi_d**v[d].
 
-    The exponents e_d (d >= 2) are kept in ``_exps`` and multiplied out in
-    ``den``.  The numerator is coprime to the denominator, so two values are
-    equal exactly when their stored fields are.  There is no division: the
+    The denominator's vector v (see ``Monomial``) is kept in ``_exps`` and
+    multiplied out in ``den``.  The numerator is coprime to the denominator,
+    so two values are equal exactly when their stored fields are.  There is no division: the
     inverse of a value is cyclotomic only when its numerator is.
 
     A value is immutable, so ``str()`` and :meth:`json_text` are rendered on
@@ -412,13 +412,13 @@ class QRat:
             num, den = -num, -den
         self._set(*_cancel(num, () if den.is_one() else _factor(den)))
 
-    def _set(self, num: QPoly, exps: Exps) -> None:
+    def _set(self, num: QPoly, exps: Monomial) -> None:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", cyclotomic_product(exps) if exps else ONE)
         object.__setattr__(self, "_exps", exps)
 
     @classmethod
-    def _make(cls, num: QPoly, exps: Exps) -> "QRat":
+    def _make(cls, num: QPoly, exps: Monomial) -> "QRat":
         """A value from parts already in canonical form."""
         out = object.__new__(cls)
         out._set(num, exps)
@@ -428,19 +428,15 @@ class QRat:
         raise AttributeError("QRat is immutable")
 
     @classmethod
-    def over_cyclotomics(cls, num: QPoly, exps: Exps) -> "QRat":
-        """num over the product of Phi_d**e for (d, e) in exps, each Phi_d that
-        num shares with it cancelled."""
-        return cls._make(*_cancel(num, exps))
-
-    @classmethod
-    def monomial(cls, shift: int, up: Exps, down: Exps) -> "QRat":
-        """q**shift times the product of Phi_d**e over up, over the product
-        over down.  q and the Phi_d (d >= 2) are pairwise coprime, so when no
-        d is in both this is canonical as it stands, with no division."""
-        if shift < 0 or {d for d, _ in up} & {d for d, _ in down}:
-            raise ValueError(f"not a monomial in canonical form: q^{shift}, {up} over {down}")
-        return cls._make(cyclotomic_product(up).shifted(shift), down)
+    def monomial(cls, v: Monomial) -> "QRat":
+        """q**v[0] times the product of Phi_d**v[d] over d >= 2, exponents of
+        either sign.  q and the Phi_d (d >= 2) are pairwise coprime, so the
+        positive part over the negative one is canonical, with no division.
+        A power of q or of Phi_1 = q - 1 below the line is not cyclotomic."""
+        up, down = split(v)
+        if any(down[:2]) or any(up[1:2]):
+            raise NotCyclotomic(f"{tuple(v)} puts q below the line, or holds q - 1")
+        return cls._make(cyclotomic_product(up), down)
 
     @classmethod
     def over_one_plus_q(cls, packed: int, e: int) -> "QRat":
@@ -451,7 +447,7 @@ class QRat:
             packed, e = packed // ONE_PLUS_Q_PACKED[1], e - 1
         value = _interned.get((packed, e))
         if value is None:
-            value = _interned[packed, e] = cls._make(unpack(packed), ((2, e),) if e else ())
+            value = _interned[packed, e] = cls._make(unpack(packed), (0, 0, e) if e else ())
             object.__setattr__(value, "_packed", (packed, e))
         return value
 
@@ -472,6 +468,9 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a value over 1 hashes as the polynomial (or int) it equals
+        if not self._exps:
+            return hash(self.num)
         return hash(("QRat", self.num.coeffs, self.den.coeffs))
 
     def __neg__(self) -> "QRat":
@@ -481,12 +480,15 @@ class QRat:
         other = _as_rat(other)
         if other is None:
             return NotImplemented
-        exps, lack_a, lack_b = _exps_lcm(self._exps, other._exps)
-        a, b = self.num, other.num
-        if lack_a:
-            a = a * cyclotomic_product(lack_a)
-        if lack_b:
-            b = b * cyclotomic_product(lack_b)
+        # over the entrywise maximum of the denominators, each numerator
+        # times what its own denominator lacks of it
+        a, b, exps = self.num, other.num, self._exps
+        if other._exps != exps:
+            exps = _entrywise(max, self._exps, other._exps)
+            if exps != self._exps:
+                a = a * cyclotomic_product(_entrywise(sub, exps, self._exps))
+            if exps != other._exps:
+                b = b * cyclotomic_product(_entrywise(sub, exps, other._exps))
         return QRat._make(*_cancel(a + b, exps))
 
     __radd__ = __add__
@@ -511,7 +513,7 @@ class QRat:
         # the cross pairs can cancel.
         a, exps_b = _cancel(self.num, other._exps)
         b, exps_a = _cancel(other.num, self._exps)
-        return QRat._make(a * b, _exps_add(exps_a, exps_b))
+        return QRat._make(a * b, _entrywise(add, exps_a, exps_b))
 
     __rmul__ = __mul__
 

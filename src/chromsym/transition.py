@@ -12,8 +12,9 @@ Every weight is a power of q times q-integers over q-integers, and [j]_q is
 the product of the cyclotomic Phi_d over the divisors d > 1 of j.  So every
 weight, and every product of weights along a growth path, is a monomial
 q**v[0] * prod Phi_d**v[d] (d >= 2, exponents of either sign), kept as the
-integer vector v: the dynamic program only adds vectors.  A vector becomes a
-:class:`QRat` only where a caller asks for one.
+integer vector v of :mod:`.qpoly`: the dynamic program only adds vectors.  A
+vector becomes a :class:`QRat` (``QRat.monomial``) only where a caller asks
+for one.
 
 The graded pieces are computed in one pass per m: the table is grouped once
 by (shape, column of the largest entry), each group is summed once over the
@@ -27,17 +28,15 @@ doubles as a polynomiality check.  Every E_k is cached, and ``c_poly``,
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .errors import MAX_N, InvariantViolation, check_size
 from .hessenberg import Hess, area
 from .partitions import Partition, Tableau, entry_column, shape_of
-from .qpoly import ZERO, Exps, QPoly, QRat, cyclotomic_product, q_int
+from .qpoly import ZERO, Monomial, QPoly, QRat, cyclotomic_product, q_int, split
 from .symfunc import SymFun, combination
 
 Runs = tuple[int, tuple[tuple[int, int], ...], int]
-# q**v[0] times the product of Phi_d**v[d] over d >= 2, exponents of either sign
-Monomial = tuple[int, ...]
 
 
 def delta_bits(tableau: Tableau, r: int) -> tuple[int, ...]:
@@ -120,43 +119,30 @@ def _weight(runs: Runs, k: int, modified: bool) -> Monomial:
     return tuple(vec)
 
 
-def _split(vec) -> tuple[Exps, Exps]:
-    """The Phi_d (d >= 2) of a monomial with a positive and with a negative exponent."""
-    pairs = list(enumerate(vec))[2:]
-    return tuple((d, e) for d, e in pairs if e > 0), tuple((d, -e) for d, e in pairs if e < 0)
-
-
 def _sum(vecs) -> tuple[QPoly, list[int]]:
     """A sum of monomials as (s, low): the sum is the polynomial s times the
     monomial low, the entrywise minimum of vecs."""
     low = [min(col) for col in zip(*vecs)]
     total = ZERO
     for vec in vecs:
-        up = _split([e - e_low for e, e_low in zip(vec, low)])[0]
-        total = total + cyclotomic_product(up).shifted(vec[0] - low[0])
+        total = total + cyclotomic_product(tuple(map(sub, vec, low)))
     return total, low
 
 
 def _rat(vecs) -> QRat:
     """A sum of monomials as a canonical QRat."""
     total, low = _sum(vecs)
-    up, down = _split(low)
-    return QRat.over_cyclotomics((total * cyclotomic_product(up)).shifted(low[0]), down)
-
-
-def _monomial(vec: Monomial) -> QRat:
-    """One monomial as a QRat: its numerator and denominator share no Phi_d."""
-    return QRat.monomial(vec[0], *_split(vec))
+    return QRat.monomial(low) * total
 
 
 def psi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (modified variant)."""
-    return _monomial(_weight(delta_runs(delta_bits(tableau, r)), k, True))
+    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k, True))
 
 
 def phi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (original variant)."""
-    return _monomial(_weight(delta_runs(delta_bits(tableau, r)), k, False))
+    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k, False))
 
 
 def thresholds(m: Hess) -> list[int]:
@@ -180,7 +166,7 @@ def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Ta
                 new[child] = contrib = tuple(map(add, value, weight))
                 if records is not None:
                     records.append(dict(step=step, r=r, k=k, parent=tab, child=child,
-                                        weight=_monomial(weight), p=_monomial(contrib)))
+                                        weight=QRat.monomial(weight), p=QRat.monomial(contrib)))
         states = new
     return states
 
@@ -192,7 +178,7 @@ def _table_raw(m: Hess, modified: bool) -> dict[Tableau, Monomial]:
 
 def p_table(m: Hess) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
-    return {t: _monomial(v) for t, v in _table_raw(m, True).items()}
+    return {t: QRat.monomial(v) for t, v in _table_raw(m, True).items()}
 
 
 def probability_sum(m: Hess) -> QRat:
@@ -225,10 +211,10 @@ def _e_coeff(lam: Partition, k: int, vecs: list[Monomial]) -> QPoly:
     total, low = _sum(vecs)
     for d in range(2, len(low)):
         low[d] += sum(part // d for part in lam) - (k % d == 0)
-    up, down = _split(low)
+    up, down = split(low)
     if down:
         total = total.exact_div(cyclotomic_product(down))
-    return (total * cyclotomic_product(up)).shifted(low[0])
+    return total * cyclotomic_product(up)
 
 
 def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:

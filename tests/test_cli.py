@@ -190,6 +190,27 @@ def test_k_outside_its_range_is_a_usage_error(capsys, no_engine_runs):
                 main(["compute", "--what", what, "--m", "2,3,3", "--k", str(k)])
 
 
+def test_an_option_the_request_cannot_use_is_a_usage_error(capsys, no_engine_runs):
+    # --method selects X's engine only; X, E, G and S are not graded, so take no --k
+    for what in ("E", "Ek", "G", "Gk", "S", "g", "rho"):
+        extra = [] if what in ("E", "G", "S") else ["--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--what", what, "--m", "2,2", "--method", "schur", *extra])
+        assert exc.value.code == 2, what
+        assert "--method" in capsys.readouterr().err
+    for what in ("X", "E", "G", "S"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--what", what, "--m", "2,2", "--k", "1"])
+        assert exc.value.code == 2, what
+        assert "--k" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--what", "E", "--m", "2,2", "--method", "schur", "--k", "5"])
+    assert exc.value.code == 2
+    for method in ([], ["--method", "schur"]):
+        with pytest.raises(EngineStarted):
+            main(["compute", "--what", "X", "--m", "2,2", *method])
+
+
 class SuiteStarted(Exception):
     pass
 

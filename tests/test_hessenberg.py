@@ -35,6 +35,15 @@ def test_parse_variants():
     assert hess([2, 3, 3]) == (2, 3, 3)
 
 
+def test_an_entry_that_is_not_an_int_is_refused():
+    # strings are parsed first; anything else must already be an int, not truncated to one
+    for values, position in (([2.7, 2], 1), ([2, 2.0], 2), ((2, "3", 3), 2), ([1, None], 2), ([True], 1)):
+        with pytest.raises(ValueError, match=f"position {position}"):
+            hess(values)
+    with pytest.raises(ValueError):
+        hess("2.7,2")
+
+
 def test_edge_or_comparable_dichotomy():
     for n in range(1, 6):
         for m in enumerate_hess(n):

@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,11 @@ from chromsym.qpoly import (
     QPoly,
     QRat,
     cyclotomic,
+    cyclotomic_product,
     pack,
     q_fact,
     q_int,
+    split,
     unpack,
 )
 
@@ -74,7 +77,7 @@ def test_zero_denominator_is_refused():
 
 
 def test_non_cyclotomic_denominators_are_refused():
-    for den in (Q, Q - 2, QPoly((2,)), Q - 1, QPoly((2, 2)), q_int(3) * (Q - 2)):
+    for den in (Q, Q - 2, QPoly((2,)), Q - 1, (Q - 1) ** 2, QPoly((2, 2)), q_int(3) * (Q - 2)):
         with pytest.raises(NotCyclotomic):
             QRat(ONE, den)
 
@@ -263,13 +266,25 @@ def test_arithmetic_matches_euclidean_reduction(a, da, b, db):
     assert fields(x * y) == euclid(a * b, da * db)
 
 
+# cyclotomic monomials q**v[0] prod Phi_d**v[d]: v[0] >= 0, v[1] = 0, either sign for d >= 2
+monomials = st.tuples(st.integers(0, 3), st.lists(st.integers(-3, 3), max_size=11)).map(
+    lambda t: (t[0], 0, *t[1])
+)
+
+
 @settings(deadline=None)
-@given(numerators, st.dictionaries(st.integers(2, 12), st.integers(1, 3), max_size=3))
-def test_over_cyclotomics_matches_euclidean_reduction(a, exps):
-    den = ONE
-    for d, e in exps.items():
-        den = den * cyclotomic(d) ** e
-    assert fields(QRat.over_cyclotomics(a, tuple(sorted(exps.items())))) == euclid(a, den)
+@given(numerators, monomials)
+def test_a_monomial_times_a_polynomial_matches_euclidean_reduction(a, v):
+    up, down = split(v)
+    assert fields(QRat.monomial(v) * a) == euclid(a * cyclotomic_product(up), cyclotomic_product(down))
+
+
+@given(monomials)
+def test_a_monomial_is_its_split_over_the_constructor(v):
+    up, down = split(v)
+    assert QRat.monomial(v) == QRat(cyclotomic_product(up), cyclotomic_product(down))
+    assert all(x - y == e for x, y, e in zip_longest(up, down, v, fillvalue=0))
+    assert 0 not in up[-1:] + down[-1:]  # no trailing zero
 
 
 @settings(deadline=None)
@@ -316,12 +331,26 @@ def test_a_non_cyclotomic_factor_is_refused(a, den, bad):
 
 
 def test_monomial_is_canonical_without_division():
-    x = QRat.monomial(2, ((2, 1), (3, 2)), ((4, 1), (6, 3)))
+    x = QRat.monomial((2, 0, 1, 2, -1, 0, -3))
     assert x == QRat(Q * Q * cyclotomic(2) * cyclotomic(3) ** 2, cyclotomic(4) * cyclotomic(6) ** 3)
-    assert QRat.monomial(0, (), ()) == QRat(1)
-    for shift, up, down in ((-1, (), ()), (0, ((2, 1),), ((2, 1), (3, 1)))):
-        with pytest.raises(ValueError):
-            QRat.monomial(shift, up, down)
+    assert QRat.monomial(()) == QRat.monomial((0, 0, 0)) == QRat(1)
+    assert split((2, 0, 1, 0, -1, 0, 0)) == ((2, 0, 1), (0, 0, 0, 0, 1))
+
+
+def test_a_monomial_below_q_or_phi_1_is_refused():
+    # neither q nor Phi_1 = q - 1 is a cyclotomic denominator, as for the constructor
+    for v in ((-1,), (-1, 0, 1), (0, 1), (0, -2), (3, 1, 2)):
+        with pytest.raises(NotCyclotomic):
+            QRat.monomial(v)
+
+
+def test_equal_values_hash_equal():
+    assert len({3, QPoly((3,)), QRat(3)}) == 1
+    assert {QPoly((3,)): 1}.get(3) == 1
+    assert hash(QPoly()) == hash(QRat(0)) == hash(0)
+    p = QPoly((1, -2, 5))
+    assert hash(QRat(p)) == hash(p) and QRat(p) == p
+    assert QRat(p * q_int(3), q_int(3)) in {p}
 
 
 def test_q_int_is_the_product_of_its_cyclotomic_factors():
