@@ -3,6 +3,13 @@
 The transition, cycle-sum, P-tableau, coloring, acyclic-orientation and
 reduction engines refuse a Hessenberg function longer than :data:`MAX_N`.
 Each checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
+
+One rule decides what an engine keeps.  A per-m result that a suite reads
+again for another m is cached for the whole process: ``transition._e_parts``,
+``gfunctions._cycle_sums``, ``ptableaux.s_fun``, ``modular.reduce_to_paths``.
+Per-m scratch, read again only for the same m, is kept for the latest m alone
+(``lru_cache(maxsize=1)``): ``transition._table``, ``gfunctions._cycle_stats``,
+``ptableaux._value_masks``, ``orientations._incident``, ``coloring._class_counts``.
 """
 
 MAX_N = 8

@@ -54,7 +54,7 @@ def _omega_rho_product(parts: tuple[int, ...]) -> SymFun:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     """Aggregate q^wt by (size of the cycle containing 1, sorted other sizes).
 
@@ -105,14 +105,17 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
 
 
 @lru_cache(maxsize=None)
-def _gfuns(m: Hess) -> tuple[SymFun, ...]:
-    """gfun(m, k) for every k in [0, n): first cycles of size t1 >= n - k, d = t1 - (n - k)."""
+def _cycle_sums(m: Hess) -> tuple[tuple[SymFun, ...], tuple[SymFun, ...], SymFun]:
+    """gfun(m, k) for k in [0, n), with first cycles of size t1 >= n - k and
+    d = t1 - (n - k); g_cap(m, k) for k in [1, n]; and g_total, their sum."""
     n = len(m)
     stats = _cycle_stats(m).items()
-    return tuple(
+    gs = tuple(
         combination(k, ((c, _term(k - n + t1, rest)) for (t1, rest), c in stats if t1 >= n - k))
         for k in range(n)
     )
+    caps = tuple(SymFun.e_term((k,)) * gs[n - k] for k in range(1, n + 1))
+    return gs, caps, combination(n, ((1, cap) for cap in caps))
 
 
 def gfun(m: Hess, k: int) -> SymFun:
@@ -124,7 +127,7 @@ def gfun(m: Hess, k: int) -> SymFun:
     n = len(m)
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n})")
-    return _gfuns(m)[k]
+    return _cycle_sums(m)[0][k]
 
 
 def g_cap(m: Hess, k: int) -> SymFun:
@@ -132,19 +135,11 @@ def g_cap(m: Hess, k: int) -> SymFun:
     n = len(m)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    return _g_caps(m)[k - 1]
+    return _cycle_sums(m)[1][k - 1]
 
 
 def g_total(m: Hess) -> SymFun:
-    return _g_caps(m)[-1]
-
-
-@lru_cache(maxsize=None)
-def _g_caps(m: Hess) -> tuple[SymFun, ...]:
-    """g_cap(m, k) for k = 1, ..., n, each product formed once, then their sum."""
-    n = len(m)
-    caps = [SymFun.e_term((k,)) * gfun(m, n - k) for k in range(1, n + 1)]
-    return (*caps, combination(n, ((1, cap) for cap in caps)))
+    return _cycle_sums(m)[2]
 
 
 def x_cycle_sum(m: Hess) -> SymFun:

@@ -91,7 +91,7 @@ def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     return ao_tally(m)[1 if require_1_sink else 0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
     """Per vertex 1..n, the masks of all its edges and of its edges to smaller vertices."""
     both, down = [0] * (len(m) + 1), [0] * (len(m) + 1)

@@ -47,7 +47,7 @@ def inv_filling(m: Hess, rows: Filling) -> int:
     return sum(1 for i, j in edges(m) if i in pos and j in pos and pos[j] < pos[i])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _value_masks(m: Hess) -> tuple[tuple[int, ...], ...]:
     """Bitmasks over [n] by value x (0 for no neighbour): the values allowed right
     of x, the values allowed below x, the neighbours y > x; and x's first index in edges(m)."""
@@ -88,6 +88,7 @@ def _search(
     y left, which then has every y' in ``higher[y]`` placed: its parent counts
     it, with no call per leaf.
     """
+    check_size(len(m))
     row_lengths = check_partition(row_lengths)
     counts, fillings = Counter() if by_mask else [0] * (area(m) + 1), []
     bounds, left, up, later = _diagram(row_lengths)
@@ -175,7 +176,7 @@ def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
     """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
     n = len(m)
-    check_size(n)
+    check_size(n)  # before partitions(n) is built; the kernel checks only after
     return SymFun(n, "s", {lam: pt_poly(m, lam, corner1=corner1) for lam in partitions(n)})
 
 

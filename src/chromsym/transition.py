@@ -37,6 +37,7 @@ from .qpoly import ZERO, Monomial, QPoly, QRat, cyclotomic_product, q_int, split
 from .symfunc import SymFun, combination
 
 Runs = tuple[int, tuple[tuple[int, int], ...], int]
+Table = dict[Tableau, tuple[Monomial, int]]  # a probability, and the original variant's power of q
 
 
 def delta_bits(tableau: Tableau, r: int) -> tuple[int, ...]:
@@ -95,11 +96,12 @@ def insert_at_column(tableau: Tableau, column: int) -> Tableau:
 
 
 @lru_cache(maxsize=None)
-def _weight(runs: Runs, k: int, modified: bool) -> Monomial:
+def _weight(runs: Runs, k: int) -> tuple[Monomial, int]:
     """Insertion weight: a power of q times q-integers over q-integers.
 
-    ``modified`` selects the q-power sum(b_i, i > k) in front; the original
-    variant uses sum(a_i, i <= k) instead, everything else being equal.
+    Returns the modified variant's vector, whose q-power is sum(b_i, i > k),
+    and the original variant's q-power sum(a_i, i <= k); the two variants
+    agree in everything else.
     """
     b0, pairs, tail = runs
     l = len(pairs)
@@ -108,7 +110,7 @@ def _weight(runs: Runs, k: int, modified: bool) -> Monomial:
     a, b = [ab[0] for ab in pairs], [ab[1] for ab in pairs]
     # every q-integer is at most the size of the tableau
     vec = [0] * (max(b0 + sum(a) + sum(b) + tail, MAX_N) + 1)
-    vec[0] = sum(b[k:]) if modified else sum(a[:k])
+    vec[0] = sum(b[k:])
     for i in range(1, l + 1):
         if i <= k:
             up, down = sum(a[i:k]) + sum(b[i - 1 : k]), sum(a[i - 1 : k]) + sum(b[i - 1 : k])
@@ -116,7 +118,7 @@ def _weight(runs: Runs, k: int, modified: bool) -> Monomial:
             up, down = sum(a[k:i]) + sum(b[k : i - 1]), sum(a[k:i]) + sum(b[k:i])
         for d in range(2, max(up, down) + 1):
             vec[d] += (up % d == 0) - (down % d == 0)
-    return tuple(vec)
+    return tuple(vec), sum(a[:k])
 
 
 def _sum(vecs) -> tuple[QPoly, list[int]]:
@@ -129,20 +131,16 @@ def _sum(vecs) -> tuple[QPoly, list[int]]:
     return total, low
 
 
-def _rat(vecs) -> QRat:
-    """A sum of monomials as a canonical QRat."""
-    total, low = _sum(vecs)
-    return QRat.monomial(low) * total
-
-
 def psi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (modified variant)."""
-    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k, True))
+    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k)[0])
 
 
 def phi(tableau: Tableau, k: int, r: int) -> QRat:
-    """Weight of the k-th insertion at threshold r (original variant)."""
-    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k, False))
+    """Weight of the k-th insertion at threshold r (original variant): psi's with
+    the power of q sum(a_i, i <= k), computed apart from the one the walk carries."""
+    runs = delta_runs(delta_bits(tableau, r))
+    return QRat.monomial((sum(a for a, _ in runs[1][:k]), *_weight(runs, k)[0][1:]))
 
 
 def thresholds(m: Hess) -> list[int]:
@@ -151,19 +149,21 @@ def thresholds(m: Hess) -> list[int]:
     return [n - m[n - i] for i in range(1, n + 1)]
 
 
-def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Tableau, Monomial]:
-    """Run the growth process for m; optionally record every insertion."""
+def _grow(m: Hess, records: list[dict] | None = None) -> Table:
+    """Run the growth process for m, which grows one tree for both weight
+    variants; optionally record every insertion."""
     check_size(len(m))
-    states: dict[Tableau, Monomial] = {(): (0,) * (MAX_N + 1)}
+    states: Table = {(): ((0,) * (MAX_N + 1), 0)}
     for step, r in enumerate(thresholds(m), start=1):
-        new: dict[Tableau, Monomial] = {}
-        for tab, value in states.items():
+        new: Table = {}
+        for tab, (value, power) in states.items():
             runs = delta_runs(delta_bits(tab, r))
             for k in range(len(runs[1]) + 1):
-                weight = _weight(runs, k, modified)
+                weight, original = _weight(runs, k)
                 child = insert_at_column(tab, insertion_column(runs, k))
                 # a child's one parent is itself less its largest entry; the column grows with k
-                new[child] = contrib = tuple(map(add, value, weight))
+                contrib = tuple(map(add, value, weight))
+                new[child] = contrib, power + original
                 if records is not None:
                     records.append(dict(step=step, r=r, k=k, parent=tab, child=child,
                                         weight=QRat.monomial(weight), p=QRat.monomial(contrib)))
@@ -171,38 +171,29 @@ def _grow(m: Hess, modified: bool, records: list[dict] | None = None) -> dict[Ta
     return states
 
 
-@lru_cache(maxsize=None)
-def _table_raw(m: Hess, modified: bool) -> dict[Tableau, Monomial]:
-    return _grow(m, modified)
+_table = lru_cache(maxsize=1)(_grow)  # called with m alone: the walk without records
 
 
 def p_table(m: Hess) -> dict[Tableau, QRat]:
     """Probability of every reachable standard tableau of size n under m."""
-    return {t: QRat.monomial(v) for t, v in _table_raw(m, True).items()}
+    return {t: QRat.monomial(v) for t, (v, _) in _table(m).items()}
 
 
 def probability_sum(m: Hess) -> QRat:
     """The sum of the probabilities of every reachable standard tableau of size n."""
-    return _rat(_table_raw(m, True).values())
+    total, low = _sum([v for v, _ in _table(m).values()])
+    return QRat.monomial(low) * total
 
 
 def check_area_relation(m: Hess) -> bool:
-    """Entrywise relation between the two tables through a fixed power of q.
-
-    The modified probability equals the original one multiplied by q to the
-    power area(m) - sum of binomial(lam_j, 2) over the rows of the shape.
-    q and the Phi_d are distinct irreducibles, so two monomials are equal
-    exactly when their vectors are.
-    """
-    mod, orig = _table_raw(m, True), _table_raw(m, False)
-    if set(mod) != set(orig):
-        return False
+    """The modified probability is the original one times q to the power
+    area(m) - sum of binomial(lam_j, 2) over the rows of the shape.  The two
+    differ only in their power of q, so the powers of q are compared."""
     a = area(m)
-    for tab, p_mod in mod.items():
-        shift = sum(p * (p - 1) // 2 for p in shape_of(tab))
-        if p_mod[0] + shift != orig[tab][0] + a or p_mod[1:] != orig[tab][1:]:
-            return False
-    return True
+    return all(
+        vec[0] + sum(p * (p - 1) // 2 for p in shape_of(tab)) == power + a
+        for tab, (vec, power) in _table(m).items()
+    )
 
 
 def _e_coeff(lam: Partition, k: int, vecs: list[Monomial]) -> QPoly:
@@ -234,7 +225,7 @@ def _e_parts(m: Hess) -> tuple[SymFun, ...]:
     """e_part(m, k) for k = 1, ..., n, each group of the table summed once."""
     n = len(m)
     groups: dict[tuple[Partition, int], list[Monomial]] = {}
-    for tab, vec in _table_raw(m, True).items():
+    for tab, (vec, _) in _table(m).items():
         groups.setdefault((shape_of(tab), entry_column(tab, n)), []).append(vec)
     coeffs: list[dict[Partition, QPoly]] = [{} for _ in range(n)]
     for (lam, k), vecs in groups.items():
@@ -255,5 +246,5 @@ def x_from_table(m: Hess) -> SymFun:
 def trace(m: Hess) -> list[dict]:
     """Growth tree records for display: one per (parent, child) insertion."""
     records: list[dict] = []
-    _grow(m, True, records)
+    _grow(m, records)
     return records

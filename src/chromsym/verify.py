@@ -36,6 +36,7 @@ from functools import lru_cache
 from math import comb
 
 from . import coloring, gfunctions, modular, orientations, ptableaux, transition
+from .errors import check_size
 from .hessenberg import Hess, enumerate_hess, path
 from .partitions import all_syt, partitions, vertical_strips
 from .qpoly import ONE, RAT_ONE, RAT_ZERO, QPoly, QRat, q_int
@@ -337,4 +338,7 @@ def run_suite(name: str, n_max: int, jobs: int = 1) -> dict:
         raise ValueError(f"unknown suite {name!r}")
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} is below 1")
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} is below 1")
+    check_size(n_max)  # refused before any instance is built or any worker forked
     return _run(name, n_max, SUITES[name](n_max), jobs)

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import chromsym
-from chromsym import coloring, gfunctions, modular, ptableaux, transition, verify
+from chromsym import coloring, gfunctions, modular, orientations, ptableaux, transition, verify
 from chromsym.cli import main
+from chromsym.errors import SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess
 
 
@@ -623,6 +624,62 @@ def test_a_failed_fork_leaves_no_pipe_behind(monkeypatch, reaped):
     with pytest.raises(BlockingIOError):
         verify.run_suite("egs", 4, 2)
     assert fds == (os.listdir("/proc/self/fd") if fds else [])
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
+def test_run_suite_refuses_an_n_it_cannot_meet_before_any_work(suite, monkeypatch, reaped):
+    def fork():
+        raise AssertionError("forked")
+
+    def build(n_max):
+        raise AssertionError("built instances")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setitem(verify.SUITES, suite, build)
+    for jobs in (1, 2):
+        with pytest.raises(SizeLimitExceeded):
+            verify.run_suite(suite, 9, jobs)
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="below 1"):
+                verify.run_suite(suite, n_max, jobs)
+
+
+# The cache rule of chromsym.errors: per-m results for the whole process,
+# per-m scratch for the latest m only.
+RESULTS = (transition._e_parts, gfunctions._cycle_sums, ptableaux.s_fun, modular.reduce_to_paths)
+SCRATCH = (
+    transition._table,
+    gfunctions._cycle_stats,
+    ptableaux._value_masks,
+    orientations._incident,
+    coloring._class_counts,
+)
+
+
+def cold_caches():
+    for cache in RESULTS + SCRATCH:
+        cache.cache_clear()
+
+
+def test_per_m_scratch_is_kept_for_the_latest_m_only():
+    assert [cache.cache_info().maxsize for cache in SCRATCH] == [1] * len(SCRATCH)
+    assert [cache.cache_info().maxsize for cache in RESULTS] == [None] * len(RESULTS)
+
+
+def test_appendix_grows_each_m_once():
+    # one walk serves the probabilities and both weight variants; 64 m have n <= 5
+    cold_caches()
+    assert verify.run_suite("appendix", 5, 1)["passed"]
+    info = transition._table.cache_info()
+    assert (info.misses, info.hits) == (64, 64)
+
+
+def test_x_all_counts_cycles_once_per_m():
+    # the cycle-sum engine and the decomposition read one m's statistics in turn
+    cold_caches()
+    assert verify.run_suite("x-all", 5, 1)["passed"]
+    info = gfunctions._cycle_stats.cache_info()
+    assert (info.misses, info.hits) == (64, 64)
 
 
 def test_paths_witness_is_the_first_failure(monkeypatch):

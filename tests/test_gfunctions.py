@@ -231,6 +231,6 @@ def test_non_polynomial_term_is_refused(monkeypatch):
     monkeypatch.setattr(
         gfunctions, "_term", lambda d, rest: original(d, rest).scaled(QRat(ONE, q_int(2)))
     )
-    gfunctions._gfuns.cache_clear()
+    gfunctions._cycle_sums.cache_clear()
     with pytest.raises(TypeError, match="QRat"):
         gfun((2, 3, 3), 1)

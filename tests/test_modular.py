@@ -204,7 +204,7 @@ def test_reduce_determinism():
 
 def test_evaluate_reduce_round_trip():
     # from cold caches, evaluating certificates runs no engine
-    engine_caches = (transition._table_raw, gfunctions._cycle_stats, gfunctions._gfuns, s_fun)
+    engine_caches = (transition._table, gfunctions._cycle_stats, gfunctions._cycle_sums, s_fun)
     for cache in engine_caches + (modular.path_union_closed,):
         cache.cache_clear()
     ms = [m for n in range(1, 6) for m in enumerate_hess(n)]

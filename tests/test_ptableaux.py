@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 
 from chromsym.coloring import x_colorings
-from chromsym.errors import InvalidFilling, IsBaseTableau
+from chromsym.errors import InvalidFilling, IsBaseTableau, SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess, hsum, path
+from chromsym.orientations import hook_theta_counts
 from chromsym.partitions import partitions, vertical_strips
 from chromsym.ptableaux import (
     base_column,
@@ -15,6 +16,7 @@ from chromsym.ptableaux import (
     inv_filling,
     path_peel,
     path_unpeel,
+    pt_masks,
     pt_poly,
     s_fun,
     x_schur,
@@ -31,6 +33,22 @@ def test_inv_examples():
     assert inv_filling((1, 2, 3), ((2,), (1,), (3,))) == 0
     with pytest.raises(InvalidFilling):
         inv_filling(m, ((1, 1), (2,)))
+
+
+def test_every_entry_point_refuses_n_above_the_limit():
+    # the one search kernel checks the length of m, so none of them runs at n = 9
+    m = path(9)
+    for compute in (
+        lambda: enumerate_pt(m, (5, 4)),
+        lambda: pt_poly(m, (5, 4)),
+        lambda: pt_masks(m, (5, 4)),
+        lambda: s_fun(m),
+        lambda: x_schur(m),
+        lambda: hook_theta_counts(m, 3),
+        lambda: corner_path_poly((5, 4)),
+    ):
+        with pytest.raises(SizeLimitExceeded):
+            compute()
 
 
 def test_enumerate_pt_examples():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromsym
-from chromsym import cli, transition
+from chromsym import cli, transition, verify
 from chromsym.errors import MAX_N, InvariantViolation, NotDivisible, SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess, path
 from chromsym.partitions import all_syt, entry_column, shape_of
@@ -166,6 +166,27 @@ def test_weight_variant_tables():
     assert check_area_relation((2, 3, 5, 5, 5))
     for m in enumerate_hess(4):
         assert check_area_relation(m), m
+
+
+def test_the_area_relation_fails_when_a_variant_is_broken(monkeypatch):
+    # the original variant's power of q, one higher at k = 1, breaks the relation
+    weight = transition._weight
+
+    def broken(runs, k):
+        vec, power = weight(runs, k)
+        return vec, power + (k == 1)
+
+    monkeypatch.setattr(transition, "_weight", broken)
+    transition._table.cache_clear()
+    try:
+        failing = [m for n in range(1, 6) for m in enumerate_hess(n) if not check_area_relation(m)]
+        assert failing[0] == (2, 3, 3)
+        report = verify.run_suite("appendix", 5)
+    finally:
+        transition._table.cache_clear()
+    assert not report["passed"]
+    assert [c.get("witness") for c in report["checks"]] == [None, None, None, "(2, 3, 3)"]
+    assert report["checks"][3]["name"] == "area relation between weight variants"
 
 
 def test_psi_sums_to_one_small():
@@ -329,14 +350,14 @@ def test_a_coefficient_that_is_not_a_polynomial_raises(monkeypatch):
     # given as q**vec[0] times the product of Phi_d**vec[d]
     def table_with(exps):
         vec = [exps.get(d, 0) for d in range(MAX_N + 1)]
-        return lambda m, modified: {((1, 2),): tuple(vec)}
+        return lambda m: {((1, 2),): (tuple(vec), 0)}
 
     transition._e_parts.cache_clear()
     try:
-        monkeypatch.setattr(transition, "_table_raw", table_with({0: 1, 2: 1}))
+        monkeypatch.setattr(transition, "_table", table_with({0: 1, 2: 1}))
         assert e_part((2, 2), 2) == SymFun(2, "e", {(2,): QPoly((0, 1, 1))})
         transition._e_parts.cache_clear()
-        monkeypatch.setattr(transition, "_table_raw", table_with({0: 1, 3: -1}))
+        monkeypatch.setattr(transition, "_table", table_with({0: 1, 3: -1}))
         with pytest.raises(NotDivisible):
             e_part((2, 2), 2)
     finally:
