@@ -16,9 +16,10 @@ built once per process, on first use.
 
 ``verify --jobs N`` scans a suite in N processes, this one and N - 1
 workers forked once per suite; N defaults to 2 (``DEFAULT_JOBS``), or 1 on a
-one-CPU machine, and ``--jobs 1`` forks nothing.  The output and the exit
-code are the same, byte for byte, for every N.  An N below 1 or above the
-CPUs this process may use is a usage error, refused before any work or fork.
+one-CPU machine, and ``--jobs 1`` forks nothing.  A parallel run that fails
+in any way is thrown away and the suite is scanned again serially, so the
+output and the exit code are the same, byte for byte, for every N.  An N
+below 1 or above the usable CPUs is a usage error, refused before any work.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import re
 import sys
 from functools import lru_cache
 
-from . import coloring, gfunctions, modular, ptableaux, transition, verify
+from . import gfunctions, modular, ptableaux, transition, verify
 from .errors import MAX_N
-from .hessenberg import hess
+from .hessenberg import hess, hess_fields
 from .symfunc import SymFun
 
 
@@ -43,7 +44,7 @@ def _check_size(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--n = {n} is below 1")
     else:
         # hess() parses --m later, so that a malformed value stays a computation error
-        n = len((args.m or "").replace(",", " ").split())
+        n = len(hess_fields(args.m)) if args.m is not None else 0
     if n > MAX_N:
         parser.error(f"n = {n} exceeds the limit {MAX_N}")
     return n
@@ -89,7 +90,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="grading index where applicable")
     p.add_argument(
         "--method",
-        choices=["coloring", "transition", "cycle-sum", "schur"],
+        choices=list(verify.x_engines()),
         help="which engine computes X (default coloring)",
     )
     p.add_argument(
@@ -155,30 +156,17 @@ def _cmd_compute(args, parser, n: int) -> int:
         parser.error("--at-q cannot be combined with --json")
     if k_range and not k_range[0] <= args.k <= k_range[1]:
         parser.error(f"--k = {args.k} is outside {list(k_range)} for --what {args.what}")
-    if args.m is not None:
-        m = hess(args.m)
-    if args.what == "X":
-        engines = {
-            "coloring": lambda: coloring.x_colorings(m),
-            "transition": lambda: transition.x_from_table(m),
-            "cycle-sum": lambda: gfunctions.x_cycle_sum(m),
-            "schur": lambda: ptableaux.x_schur(m),
-        }
-        f = engines[args.method or "coloring"]()
-    elif args.what == "E":
-        f = transition.e_total(m)
-    elif args.what == "Ek":
-        f = transition.e_part(m, args.k)
-    elif args.what == "G":
-        f = gfunctions.g_total(m)
-    elif args.what == "Gk":
-        f = gfunctions.g_cap(m, args.k)
-    elif args.what == "S":
-        f = ptableaux.s_fun(m)
-    elif args.what == "g":
-        f = gfunctions.gfun(m, args.k)
-    else:
-        f = gfunctions.rho(args.k)
+    m = hess(args.m) if args.m is not None else None
+    f = {
+        "X": lambda: verify.x_engines()[args.method or "coloring"](m),
+        "E": lambda: transition.e_total(m),
+        "Ek": lambda: transition.e_part(m, args.k),
+        "G": lambda: gfunctions.g_total(m),
+        "Gk": lambda: gfunctions.g_cap(m, args.k),
+        "S": lambda: ptableaux.s_fun(m),
+        "g": lambda: gfunctions.gfun(m, args.k),
+        "rho": lambda: gfunctions.rho(args.k),
+    }[args.what]()
     _print_symfun(f, args.basis, args.json, args.tsv, args.at_q)
     return 0
 
@@ -231,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "reduce":
             return _cmd_reduce(args)
         return _cmd_trace(args)
-    except (ValueError, ArithmeticError, ChildProcessError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

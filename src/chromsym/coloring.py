@@ -13,30 +13,24 @@ has a larger color than all of P, so the inv it adds is the number of its
 neighbours u > j in P: the increment depends on P and S_i alone, not on how
 P was colored.  The q^inv count of a state (colored set, class sizes left)
 is therefore memoized, at most 2^n states per suffix of the content.  A
-count sum c_i q^i is packed into the integer sum c_i 2^(WIDTH i), so adding
-a sub-count shifted by q^inc is one shift and one add.  This is exact while
-every c_i < 2^WIDTH: a state counts colorings of at most MAX_N vertices with
-prescribed class sizes, at most MAX_N! of them, which the import checks.
+count sum c_i q^i is packed as :func:`.qpoly.pack` packs it, at 2^64 per
+coefficient, so a sub-count times q^inc is one shift; :func:`.qpoly.unpack`
+checks the bound (a state counts at most MAX_N! colorings).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
-from .errors import MAX_N, InvariantViolation, check_size
-from .hessenberg import Hess, area
+from .errors import check_size
+from .hessenberg import Hess
 from .partitions import partitions
-from .qpoly import QPoly
+from .qpoly import QPoly, unpack
 from .symfunc import SymFun
 
 
 Stable = dict[int, list[tuple[int, int]]]
 Memo = dict[tuple[int, tuple[int, ...]], int]
-
-WIDTH = 32  # bits per coefficient of a packed q^inv count
-if factorial(MAX_N) >> WIDTH:
-    raise InvariantViolation(f"{MAX_N}! colorings overflow a {WIDTH}-bit packed coefficient")
 
 
 @lru_cache(maxsize=1)
@@ -72,7 +66,7 @@ def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> i
         out, rest = 0, sizes[1:]
         for mask, later in stable.get(sizes[0], ()):
             if not mask & placed:
-                out += _count(stable, memo, placed | mask, rest) << WIDTH * (later & placed).bit_count()
+                out += _count(stable, memo, placed | mask, rest) << 64 * (later & placed).bit_count()
         memo[placed, sizes] = out
     return out
 
@@ -85,8 +79,7 @@ def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
         raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
     # Only the order of the colors matters, so color c stands for the c-th smallest.
     sizes = tuple(multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0)
-    packed, low = _count(*_class_counts(m), 0, sizes), (1 << WIDTH) - 1
-    return QPoly._trusted([packed >> WIDTH * inv & low for inv in range(area(m) + 1)])
+    return unpack(_count(*_class_counts(m), 0, sizes))
 
 
 def x_colorings(m: Hess) -> SymFun:

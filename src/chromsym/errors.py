@@ -9,7 +9,8 @@ again for another m is cached for the whole process: ``transition._e_parts``,
 ``gfunctions._cycle_sums``, ``ptableaux.s_fun``, ``modular.reduce_to_paths``.
 Per-m scratch, read again only for the same m, is kept for the latest m alone
 (``lru_cache(maxsize=1)``): ``transition._table``, ``gfunctions._cycle_stats``,
-``ptableaux._value_masks``, ``orientations._incident``, ``coloring._class_counts``.
+``ptableaux._value_masks``, ``orientations._incident``, ``coloring._class_counts``;
+so are the runs ``transition.insertion_runs`` reads for one (tableau, r).
 """
 
 MAX_N = 8

@@ -31,11 +31,18 @@ def hess_error(m: tuple[int, ...]) -> str | None:
     return None
 
 
+def hess_fields(text: str) -> list[str]:
+    """The entries of m written as text: split at commas if it has any, else at blanks."""
+    return [f.strip() for f in text.split(",")] if "," in text else text.split()
+
+
 def hess(values) -> Hess:
     """Validate and normalize a Hessenberg function: a string is parsed to
     ints first, and any other entry that is not an ``int`` is refused."""
     if isinstance(values, str):
-        values = [int(x) for x in values.replace(",", " ").split()]
+        if "" in (fields := hess_fields(values)):
+            raise ValueError(f"{values!r} has an empty entry")
+        values = [int(x) for x in fields]
     m = tuple(values)
     for i, v in enumerate(m, start=1):
         if type(v) is not int:

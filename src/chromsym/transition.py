@@ -131,15 +131,21 @@ def _sum(vecs) -> tuple[QPoly, list[int]]:
     return total, low
 
 
+@lru_cache(maxsize=1)  # psi and phi read one (tableau, r) for every k in turn
+def insertion_runs(tableau: Tableau, r: int) -> Runs:
+    """The runs of the threshold-r indicator of tableau, for the latest pair only."""
+    return delta_runs(delta_bits(tableau, r))
+
+
 def psi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (modified variant)."""
-    return QRat.monomial(_weight(delta_runs(delta_bits(tableau, r)), k)[0])
+    return QRat.monomial(_weight(insertion_runs(tableau, r), k)[0])
 
 
 def phi(tableau: Tableau, k: int, r: int) -> QRat:
     """Weight of the k-th insertion at threshold r (original variant): psi's with
     the power of q sum(a_i, i <= k), computed apart from the one the walk carries."""
-    runs = delta_runs(delta_bits(tableau, r))
+    runs = insertion_runs(tableau, r)
     return QRat.monomial((sum(a for a, _ in runs[1][:k]), *_weight(runs, k)[0][1:]))
 
 

@@ -18,14 +18,14 @@ With ``jobs`` above 1 the runner forks ``jobs - 1`` workers once per suite
 w, w + jobs, ... of every group.  A group may add a fourth element,
 ``route(x)``: then instance x is in share ``route(x) % jobs``, so that the
 instances that need one costly engine meet in one process.  A worker sends
-back, per check, the index and ``str()`` of its first witness, and per group
-the index of its first error, as JSON.  The runner keeps the witness of
-smallest index, so the report is the same, byte for byte, for every
-``jobs``.  If a serial run would have met the error of smallest index (some
-check has no witness before it), the runner tests that instance again in
-this process, which raises the same exception, type, message and all: the
-engines are deterministic.  A worker that dies raises ``ChildProcessError``.
-With ``jobs = 1``, or without ``os.fork``, the same scan runs inline.
+back, per check, the index and ``str()`` of its first witness as JSON, and
+the runner keeps the witness of smallest index.  A share stops only past the
+index where a serial run stops, so the report is the same for every ``jobs``.
+A parallel run that fails in any way (an engine error, a dead worker, a
+failed fork, JSON that does not parse) is thrown away once its workers are
+reaped, and the suite is scanned again serially here, as ``jobs = 1`` scans
+it.  That raises the engine's own exception, or reports as usual when the
+error lay past every witness.  An interrupt propagates once they are reaped.
 """
 
 from __future__ import annotations
@@ -52,34 +52,27 @@ def usable_cpus() -> int:
 
 def _scan(groups, start: int, step: int):
     """Yield, per group, the first witness of each check among the instances
-    of share ``start`` of ``step`` as [index, str], and the index of the first
-    instance whose test raised.  A group's scan ends at its first error, or
-    once every check has a witness: a serial run reaches no later instance."""
+    of share ``start`` of ``step``, as [index, str].  A group's scan ends once
+    every check has a witness: a serial run reaches no later instance."""
     for names, instances, test, *route in groups:
-        first, error = [None] * len(names), None
+        first = [None] * len(names)
         for i, x in enumerate(instances):
             if (route[0](x) if route else i) % step != start:
                 continue
-            try:
-                found = [None if new is None else [i, str(new)] for new in test(x)]
-            except Exception:
-                error = i
-                break
+            found = [None if new is None else [i, str(new)] for new in test(x)]
             first = [old or new for old, new in zip(first, found)]
             if None not in first:
                 break
-        yield first, error
+        yield first
 
 
 def _worker(groups, start: int, step: int, write: int):
     """Scan one share in a forked child, write it to the pipe as JSON, and leave."""
-    code = 1
     try:
         with open(write, "w") as out:
             json.dump(list(_scan(groups, start, step)), out)
-        code = 0
     finally:
-        os._exit(code)  # no atexit handlers, no flush of the parent's buffers
+        os._exit(0)  # no atexit handlers or parent buffers; a share that raised sent no JSON
 
 
 def _forked(groups, jobs: int) -> list[list]:
@@ -103,40 +96,30 @@ def _forked(groups, jobs: int) -> list[list]:
     finally:
         for pipe in pipes:
             pipe.close()
-        codes = []
         for pid in pids:
             if texts is None:
                 from signal import SIGKILL  # only here: the CLI's imports stay as they were
 
                 os.kill(pid, SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for code in codes:
-        if code != 0:
-            raise ChildProcessError(f"a verify worker exited with status {code}")
+            os.waitpid(pid, 0)
     return [own, *map(json.loads, texts)]
-
-
-def _merge(parts, instances, test) -> list:
-    """The first witness of each check over every share of one group.  If a
-    serial run would meet the first error, the test of that instance runs
-    again here and raises it, with its own type, message and traceback."""
-    first = [min(filter(None, found), default=None) for found in zip(*(f for f, _ in parts))]
-    error = min((e for _, e in parts if e is not None), default=None)
-    if error is not None and any(w is None or w[0] > error for w in first):
-        test(instances[error])
-        raise RuntimeError(f"instance {error} raised in its scan but not again")
-    return [w and w[1] for w in first]
 
 
 def _run(suite: str, n_max: int, groups: list, jobs: int) -> dict:
     """Run every group and report each check with its first witness."""
-    shares = _forked(groups, jobs) if jobs > 1 and hasattr(os, "fork") else [_scan(groups, 0, 1)]
+    shares = [_scan(groups, 0, 1)]
+    if jobs > 1 and hasattr(os, "fork"):
+        try:
+            shares = _forked(groups, jobs)
+        except Exception:
+            pass  # the serial scan meets the failure again, or ends before it
     checks = []
-    for (names, instances, test, *_), parts in zip(groups, zip(*shares)):
-        for name, witness in zip(names, _merge(parts, instances, test)):
+    for (names, *_), parts in zip(groups, zip(*shares)):
+        for name, found in zip(names, zip(*parts)):
+            witness = min(filter(None, found), default=None)
             check = {"name": name, "passed": witness is None}
             if witness is not None:
-                check["witness"] = witness
+                check["witness"] = witness[1]
             checks.append(check)
     passed = all(c["passed"] for c in checks)
     return {"suite": suite, "n_max": n_max, "checks": checks, "passed": passed}
@@ -165,25 +148,31 @@ def suite_egs(n_max: int) -> list:
     return [(names, ms, test)]
 
 
-def suite_x_all(n_max: int) -> list:
-    """Four computations of the chromatic quasisymmetric function agree."""
+def x_engines() -> dict:
+    """The X engines by name, coloring oracle first, as their modules hold them now."""
 
     def decomposition(m):
         n = len(m)
         return combination(n, ((q_int(k), gfunctions.g_cap(m, k)) for k in range(1, n + 1)))
 
-    engines = {
+    return {
+        "coloring": coloring.x_colorings,
         "transition": transition.x_from_table,
         "cycle-sum": gfunctions.x_cycle_sum,
         "schur": ptableaux.x_schur,
         "decomposition": decomposition,
     }
 
-    def test(m):
-        x = coloring.x_colorings(m)
-        return [None if x == f(m) else m for f in engines.values()]
 
-    names = [f"coloring oracle matches {name}" for name in engines]
+def suite_x_all(n_max: int) -> list:
+    """Four computations of the chromatic quasisymmetric function agree."""
+    (_, oracle), *engines = x_engines().items()
+
+    def test(m):
+        x = oracle(m)
+        return [None if x == f(m) else m for _, f in engines]
+
+    names = [f"coloring oracle matches {name}" for name, _ in engines]
     return [(names, _all_hess(n_max), test)]
 
 
@@ -256,7 +245,7 @@ def suite_appendix(n_max: int) -> list:
 
     def weights(x):
         tab, r = x
-        _, pairs, _ = transition.delta_runs(transition.delta_bits(tab, r))
+        _, pairs, _ = transition.insertion_runs(tab, r)
         psis = [transition.psi(tab, k, r) for k in range(len(pairs) + 1)]
         relation = (
             (tab, r, k)

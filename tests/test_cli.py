@@ -53,6 +53,14 @@ def test_compute_x_methods_agree(capsys):
     assert len(outputs) == 1
 
 
+def test_compute_methods_are_the_x_all_engines(capsys):
+    # one map names the engines of compute --method and of the x-all suite
+    names = list(verify.x_engines())
+    assert [f"coloring oracle matches {name}" for name in names[1:]] == SUITE_CHECKS["x-all"]
+    argv = ["compute", "--what", "X", "--m", "2,3,3", "--basis", "e"]
+    assert {run(capsys, *argv, "--method", name) for name in names} == {run(capsys, *argv)}
+
+
 def test_compute_at_q(capsys):
     code, out, _ = run(
         capsys, "compute", "--what", "X", "--m", "2,2", "--basis", "e", "--at-q", "1"
@@ -384,6 +392,14 @@ def test_invalid_hessenberg_is_computation_error(capsys):
     assert "error" in err
 
 
+def test_an_empty_entry_in_m_is_a_computation_error(capsys, no_engine_runs):
+    # once run as (2, 2): the empty field was dropped
+    for m in ("2,,2", ",2,2", "2,2,", "2, ,2"):
+        assert run(capsys, "compute", "--what", "E", "--m", m) == (
+            1, "", f"error: {m!r} has an empty entry\n"
+        )
+
+
 SUITE_CHECKS = {
     "egs": ["E = G = S on 22 functions", "E_k = G_k for every k"],
     "x-all": [
@@ -458,7 +474,7 @@ def test_modlaw_shares_split_the_costly_engines(monkeypatch):
     groups = verify.suite_modlaw(5)
     for start, foreign in ((0, {"g_cap", "gfun", "g_total"}), (1, {"s_fun"})):
         calls.clear()
-        assert all(error is None for _, error in verify._scan(groups, start, 2))
+        assert all(first == [None] for first in verify._scan(groups, start, 2))
         assert calls and not foreign & set(calls)
 
 
@@ -583,7 +599,8 @@ def test_an_error_after_every_witness_is_never_met(monkeypatch, reaped):
 
 
 @two_cpus
-def test_a_worker_that_dies_is_an_error_and_is_reaped(capsys, monkeypatch, reaped):
+def test_a_worker_that_dies_costs_a_serial_scan_and_is_reaped(capsys, monkeypatch, reaped):
+    # the run is thrown away and scanned again serially, which passes
     parent, x_colorings = os.getpid(), coloring.x_colorings
 
     def die(m):
@@ -592,8 +609,9 @@ def test_a_worker_that_dies_is_an_error_and_is_reaped(capsys, monkeypatch, reape
         return x_colorings(m)
 
     monkeypatch.setattr(coloring, "x_colorings", die)
-    code, out, err = run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "2")
-    assert (code, out, err) == (1, "", "error: a verify worker exited with status 3\n")
+    serial = run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "1")
+    assert serial[0] == 0
+    assert run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "2") == serial
 
 
 @two_cpus
@@ -615,14 +633,32 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, reaped):
     assert time.monotonic() - started < 30
 
 
+@two_cpus
+def test_an_error_in_this_process_kills_and_reaps_the_workers(monkeypatch, reaped):
+    from chromsym.errors import NotDivisible
+
+    parent = os.getpid()
+
+    def stuck(m):
+        if os.getpid() == parent:
+            raise NotDivisible(f"no value at {m}")
+        time.sleep(60)  # only a kill ends a worker in time
+
+    monkeypatch.setattr(coloring, "x_colorings", stuck)
+    started = time.monotonic()
+    with pytest.raises(NotDivisible, match=r"^no value at \(1,\)$"):
+        verify.run_suite("x-all", 3, 2)
+    assert time.monotonic() - started < 30
+
+
 def test_a_failed_fork_leaves_no_pipe_behind(monkeypatch, reaped):
     def fork():
         raise BlockingIOError("no process left")
 
+    serial = verify.run_suite("egs", 4, 1)
     monkeypatch.setattr(os, "fork", fork)
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
-    with pytest.raises(BlockingIOError):
-        verify.run_suite("egs", 4, 2)
+    assert verify.run_suite("egs", 4, 2) == serial
     assert fds == (os.listdir("/proc/self/fd") if fds else [])
 
 
@@ -653,6 +689,7 @@ SCRATCH = (
     ptableaux._value_masks,
     orientations._incident,
     coloring._class_counts,
+    transition.insertion_runs,
 )
 
 
