@@ -4,15 +4,17 @@ Exit codes: 0 on success, 1 when a computation fails or a verification suite
 finds a violation, 2 on usage errors.  The parameter q stays formal in all
 output; ``--at-q`` specializes only after every exact division has happened.
 A malformed ``--at-q``, or ``--at-q`` with ``--json``, is a usage error, and
-so is an option the request cannot use: ``--method`` for anything but X, or
-``--k`` for X, E, G or S.
+so is an option the request cannot use: ``--method`` for anything but X,
+``--k`` for X, E, G or S, or ``--m`` for rho.
 
 Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite.  A ``--n`` or ``--m`` above the limit, a
 ``--n`` below 1, or a ``compute --k`` outside its range (1 <= k <= n for Ek
 and Gk, 0 <= k < n for g and 0 <= k <= 8 for rho, n the length of ``--m``)
-is refused with exit code 2 before any work starts.  The argument parser is
-built once per process, on first use.
+is refused with exit code 2 before any work starts.  A call whose first
+argument names a command is parsed once, by that command's own parser; an
+empty call, any other first argument, or arguments that parser leaves over
+go through the top-level parser, which prints and exits as argparse does.
 
 ``verify --jobs N`` scans a suite in N processes, this one and N - 1
 workers forked once per suite; N defaults to 2 (``DEFAULT_JOBS``), or 1 on a
@@ -76,14 +78,16 @@ def _rational(text: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="chromsym",
         description="Exact chromatic symmetric function computations for unit interval orders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("compute", help="compute one of the symmetric functions")
+    p = commands["compute"] = sub.add_parser("compute", help="compute one of the symmetric functions")
     p.add_argument("--what", required=True, choices=["X", "E", "Ek", "G", "Gk", "S", "g", "rho"])
     p.add_argument("--m", help="Hessenberg function, e.g. 2,3,5,5,5")
     p.add_argument("--basis", default="e", choices=["e", "s", "m"])
@@ -102,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true", help="partition and coefficient columns")
 
-    p = sub.add_parser("verify", help="run an exhaustive verification suite")
+    p = commands["verify"] = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--n", type=int, required=True, help="verify all lengths up to n")
     p.add_argument(
@@ -110,14 +114,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("reduce", help="reduce to a path-decomposition certificate")
+    p = commands["reduce"] = sub.add_parser("reduce", help="reduce to a path-decomposition certificate")
     p.add_argument("--m", required=True)
     p.add_argument("--emit", default="text", choices=["text", "json"])
 
-    p = sub.add_parser("trace", help="print a model's transition tree")
+    p = commands["trace"] = sub.add_parser("trace", help="print a model's transition tree")
     p.add_argument("model", choices=["transition"])
     p.add_argument("--m", required=True)
-    return parser
+    return parser, commands
 
 
 def _print_symfun(f: SymFun, basis: str, as_json: bool, as_tsv: bool, at_q: Fraction | None) -> None:
@@ -152,6 +156,8 @@ def _cmd_compute(args, parser, n: int) -> int:
         parser.error(f"--method selects the engine for --what X only, not --what {args.what}")
     if args.what != "rho" and args.m is None:
         parser.error(f"--what {args.what} requires --m")
+    if args.what == "rho" and args.m is not None:
+        parser.error("--what rho takes no --m")
     if args.at_q is not None and args.json:
         parser.error("--at-q cannot be combined with --json")
     if k_range and not k_range[0] <= args.k <= k_range[1]:
@@ -206,8 +212,15 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args, rest = None, argv
+    # the top-level parser would scan argv and then run the command's parser on the rest
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = parser.parse_args(argv)
     n = _check_size(args, parser)
     if args.command == "verify":
         _check_jobs(args, parser)

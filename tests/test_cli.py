@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, and the size cap."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chromsym
-from chromsym import coloring, gfunctions, modular, orientations, ptableaux, transition, verify
+from chromsym import cli, coloring, gfunctions, modular, orientations, ptableaux, transition, verify
 from chromsym.cli import main
 from chromsym.errors import SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess
@@ -189,14 +190,15 @@ def test_k_outside_its_range_is_a_usage_error(capsys, no_engine_runs):
         ("g", (-1, 3), (0, 2)),
         ("rho", (-1, 9), (0, 8)),
     ):
+        m = [] if what == "rho" else ["--m", "2,3,3"]
         for k in refused:
             with pytest.raises(SystemExit) as exc:
-                main(["compute", "--what", what, "--m", "2,3,3", "--k", str(k)])
+                main(["compute", "--what", what, *m, "--k", str(k)])
             assert exc.value.code == 2, (what, k)
             assert "--k" in capsys.readouterr().err
         for k in accepted:
             with pytest.raises(EngineStarted):
-                main(["compute", "--what", what, "--m", "2,3,3", "--k", str(k)])
+                main(["compute", "--what", what, *m, "--k", str(k)])
 
 
 def test_an_option_the_request_cannot_use_is_a_usage_error(capsys, no_engine_runs):
@@ -215,6 +217,12 @@ def test_an_option_the_request_cannot_use_is_a_usage_error(capsys, no_engine_run
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--what", "E", "--m", "2,2", "--method", "schur", "--k", "5"])
     assert exc.value.code == 2
+    # rho takes no --m: refused before --m is parsed, whether or not it is a Hessenberg function
+    for m in ("2,2", "2,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--what", "rho", "--k", "2", "--m", m])
+        assert exc.value.code == 2, m
+        assert "--m" in capsys.readouterr().err
     for method in ([], ["--method", "schur"]):
         with pytest.raises(EngineStarted):
             main(["compute", "--what", "X", "--m", "2,2", *method])
@@ -767,11 +775,15 @@ def test_cold_import_leaves_unused_stdlib_unloaded():
     assert proc.stdout.splitlines() == ["[]", "e[2]: 3/2", "True"]
 
 
-def test_calls_in_one_process_match_calls_alone(capsys):
+def test_calls_in_one_process_match_calls_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width here and alone
     calls = [
         ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],
         ["verify", "--suite", "egs", "--n", "3"],
         ["verify", "--suite", "egs", "--n", "9"],
+        ["-h"],
+        ["frobnicate"],
+        ["reduce", "--m", "3,4,4,5,5", "extra"],
         ["reduce", "--m", "3,4,4,5,5", "--emit", "json"],
     ]
     results = []
@@ -782,8 +794,122 @@ def test_calls_in_one_process_match_calls_alone(capsys):
             code = exc.code
         captured = capsys.readouterr()
         results.append((code, captured.out, captured.err))
-    assert [code for code, _, _ in results] == [0, 0, 2, 0]
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 2, 2, 0]
     assert results == [run_alone(argv) for argv in calls]
+
+
+def test_a_command_is_parsed_once(monkeypatch):
+    """A call that names a command is parsed by that command's parser alone."""
+    parsers = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (
+        ["compute", "--what", "E", "--m", "2,2"],
+        ["verify", "--suite", "paths", "--n", "2", "--jobs", "1"],
+        ["reduce", "--m", "2,2"],
+        ["trace", "transition", "--m", "2,2"],
+    ):
+        parsers.clear()
+        assert main(argv) == 0, argv
+        assert parsers == [f"chromsym {argv[0]}"], argv
+
+
+# Every way argparse reads a call: help before and after a command, no or an
+# unknown command, a missing option and a bad choice, abbreviations and
+# --opt=value, "--" before and after a command, an option before the command,
+# leftovers, and a negative --at-q spaced and glued.
+ROUTE_CORPUS = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["reduce", "-h"],
+    ["compute", "--help"],
+    ["reduce", "--m", "2,2", "-h"],
+    ["trace", "--h"],
+    [],
+    ["frobnicate"],
+    ["frobnicate", "--m", "2,2"],
+    ["Reduce", "--m", "2,2"],
+    ["compute"],
+    ["reduce"],
+    ["verify", "--suite", "egs"],
+    ["trace", "--m", "2,2"],
+    ["compute", "--what", "Z", "--m", "2,2"],
+    ["verify", "--suite", "nope", "--n", "3"],
+    ["verify", "--suite", "egs", "--n", "x"],
+    ["trace", "llt", "--m", "2,2"],
+    ["compute", "--what", "X", "--m", "2,2", "--json", "--tsv"],
+    ["reduce", "--m", "2,2", "--em", "json"],
+    ["reduce", "--m", "2,2", "--e", "json"],
+    ["verify", "--su", "egs", "--n", "3", "--j", "1"],
+    ["compute", "--wh", "X", "--m", "2,2", "--met", "schur", "--at", "2"],
+    ["reduce", "--m=2,2", "--emit=json"],
+    ["compute", "--what=rho", "--k=2"],
+    ["trace", "--m=2,2", "transition"],
+    ["--", "reduce", "--m", "2,2"],
+    ["reduce", "--", "--m", "2,2"],
+    ["reduce", "--m", "2,2", "--"],
+    ["reduce", "--m", "2,2", "--", "extra"],
+    ["trace", "--m", "2,2", "--", "transition"],
+    ["-x", "reduce", "--m", "2,2"],
+    ["--json", "verify", "--suite", "egs", "--n", "3"],
+    ["-h", "reduce", "--m", "2,2"],
+    ["reduce", "--m", "2,2", "extra"],
+    ["reduce", "--m", "2,2", "--bogus"],
+    ["reduce", "--m", "2,2", "--bogus=1", "x"],
+    ["reduce", "-m", "2,2"],
+    ["verify", "--suite", "egs", "--n", "3", "reduce"],
+    ["trace", "transition", "transition", "--m", "2,2"],
+    ["reduce", "--m", "2,2", "--m", "3,3"],
+    ["reduce", "--m", "-1"],
+    ["compute", "--what", "X", "--m", "2,2", "--at-q", "-1/2"],
+    ["compute", "--what", "X", "--m", "2,2", "--at-q=-1/2"],
+    ["compute", "--what", "X", "--m", "2,2", "--at-q", "-1"],
+    ["compute", "--what", "X", "--m", "2,2", "--at-q", "-x"],
+    ["compute", "--what", "X", "--m", "2,2", "--at-q"],
+    ["compute", "--what", "g", "--m", "2,2", "--k", "-1"],
+]
+
+
+class Parsed(Exception):
+    pass
+
+
+def test_each_call_parses_as_the_top_level_parser_parses_it(capsys, monkeypatch):
+    """``main`` and the top-level parser agree on every argv of the corpus: the
+    namespace of a call that parses, else the exit code, and stdout and stderr."""
+
+    def parsed(args, parser):
+        raise Parsed(args)
+
+    monkeypatch.setattr(cli, "_check_size", parsed)
+    parser = cli._parser()[0]
+
+    def through_main(argv):
+        with pytest.raises(Parsed) as exc:
+            main(argv)
+        return vars(exc.value.args[0])
+
+    def outcome(route, argv):
+        try:
+            result = route(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    outcomes = []
+    for argv in ROUTE_CORPUS:
+        outcomes.append(outcome(through_main, argv))
+        assert outcomes[-1] == outcome(lambda a: vars(parser.parse_args(a)), argv), argv
+    # the corpus holds calls that parse, help, and usage errors
+    assert {type(result).__name__ for result, _, _ in outcomes} == {"dict", "int"}
+    assert {result for result, _, _ in outcomes if isinstance(result, int)} == {0, 2}
 
 
 def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypatch):
