@@ -11,17 +11,18 @@ Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite.  A ``--n`` or ``--m`` above the limit, a
 ``--n`` below 1, or a ``compute --k`` outside its range (1 <= k <= n for Ek
 and Gk, 0 <= k < n for g and 0 <= k <= 8 for rho, n the length of ``--m``)
-is refused with exit code 2 before any work starts.  A call whose first
-argument names a command is parsed once, by that command's own parser; an
-empty call, any other first argument, or arguments that parser leaves over
-go through the top-level parser, which prints and exits as argparse does.
+is refused with exit code 2 before any work starts; ``--m`` is parsed first,
+so a malformed ``--m`` is a computation error whatever ``--k`` is.  A call
+whose first argument names a command is parsed once, by that command's own
+parser; an empty call, any other first argument, or arguments that parser
+leaves over go through the top-level parser, which prints and exits as
+argparse does.
 
-``verify --jobs N`` scans a suite in N processes, this one and N - 1
-workers forked once per suite; N defaults to 2 (``DEFAULT_JOBS``), or 1 on a
-one-CPU machine, and ``--jobs 1`` forks nothing.  A parallel run that fails
-in any way is thrown away and the suite is scanned again serially, so the
-output and the exit code are the same, byte for byte, for every N.  An N
-below 1 or above the usable CPUs is a usage error, refused before any work.
+``verify`` takes its process count from :func:`chromsym.verify.run_suite`,
+as every library caller does: two processes, this one and one worker forked
+once per suite, where this process may run on more than one CPU, else this
+one alone (``taskset -c 0 chromsym verify ...`` pins a run to one).  The
+output and the exit code are the same, byte for byte, either way.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .hessenberg import hess, hess_fields
 from .symfunc import SymFun
 
 
-def _check_size(args, parser: argparse.ArgumentParser) -> int:
-    """Refuse a request above the size limit, or a suite below n = 1, as a usage error; return n."""
+def _check_size(args, parser: argparse.ArgumentParser) -> None:
+    """Refuse a request above the size limit, or a suite below n = 1, as a usage error."""
     if args.command == "verify":
         n = args.n
         if n < 1:
@@ -49,22 +50,6 @@ def _check_size(args, parser: argparse.ArgumentParser) -> int:
         n = len(hess_fields(args.m)) if args.m is not None else 0
     if n > MAX_N:
         parser.error(f"n = {n} exceeds the limit {MAX_N}")
-    return n
-
-
-# The largest default worker count that was measured: two processes on two
-# CPUs.  More workers each repeat part of the engine work and its memory
-# (modlaw's workers meet almost every m).
-DEFAULT_JOBS = 2
-
-
-def _check_jobs(args, parser: argparse.ArgumentParser) -> None:
-    """Default ``verify --jobs``; refuse a count outside 1 to the usable CPUs."""
-    cpus = verify.usable_cpus()
-    if args.jobs is None:
-        args.jobs = min(DEFAULT_JOBS, cpus)
-    elif not 1 <= args.jobs <= cpus:
-        parser.error(f"--jobs = {args.jobs} is not between 1 and the {cpus} usable CPUs")
 
 
 def _rational(text: str) -> Fraction:
@@ -109,9 +94,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p = commands["verify"] = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p.add_argument("--n", type=int, required=True, help="verify all lengths up to n")
-    p.add_argument(
-        "--jobs", type=int, help=f"processes that scan the suite (default {DEFAULT_JOBS}, at most the CPUs)"
-    )
     p.add_argument("--json", action="store_true")
 
     p = commands["reduce"] = sub.add_parser("reduce", help="reduce to a path-decomposition certificate")
@@ -145,12 +127,12 @@ def _print_symfun(f: SymFun, basis: str, as_json: bool, as_tsv: bool, at_q: Frac
             print(str(c))
 
 
-def _cmd_compute(args, parser, n: int) -> int:
-    """Refuse a request that cannot be met before any work, then compute; n is the length of --m."""
-    k_range = {"Ek": (1, n), "Gk": (1, n), "g": (0, n - 1), "rho": (0, MAX_N)}.get(args.what)
-    if k_range and args.k is None:
+def _cmd_compute(args, parser) -> int:
+    """Refuse a request that cannot be met before any work, then compute."""
+    graded = args.what in ("Ek", "Gk", "g", "rho")
+    if graded and args.k is None:
         parser.error(f"--what {args.what} requires --k")
-    if not k_range and args.k is not None:
+    if not graded and args.k is not None:
         parser.error(f"--what {args.what} takes no --k")
     if args.method is not None and args.what != "X":
         parser.error(f"--method selects the engine for --what X only, not --what {args.what}")
@@ -160,9 +142,11 @@ def _cmd_compute(args, parser, n: int) -> int:
         parser.error("--what rho takes no --m")
     if args.at_q is not None and args.json:
         parser.error("--at-q cannot be combined with --json")
+    m = hess(args.m) if args.m is not None else ()
+    n = len(m)
+    k_range = {"Ek": (1, n), "Gk": (1, n), "g": (0, n - 1), "rho": (0, MAX_N)}.get(args.what)
     if k_range and not k_range[0] <= args.k <= k_range[1]:
         parser.error(f"--k = {args.k} is outside {list(k_range)} for --what {args.what}")
-    m = hess(args.m) if args.m is not None else None
     f = {
         "X": lambda: verify.x_engines()[args.method or "coloring"](m),
         "E": lambda: transition.e_total(m),
@@ -178,7 +162,7 @@ def _cmd_compute(args, parser, n: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, args.n, args.jobs)
+    report = verify.run_suite(args.suite, args.n)
     if args.json:
         print(json.dumps(report))
     else:
@@ -221,12 +205,10 @@ def main(argv=None) -> int:
         args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args is None or rest:
         args = parser.parse_args(argv)
-    n = _check_size(args, parser)
-    if args.command == "verify":
-        _check_jobs(args, parser)
+    _check_size(args, parser)
     try:
         if args.command == "compute":
-            return _cmd_compute(args, parser, n)
+            return _cmd_compute(args, parser)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "reduce":

@@ -13,19 +13,21 @@ each group's instances, so values that several checks of an instance share
 are computed once.  It keeps the first witness of each check and leaves the
 group as soon as every check in it has one.
 
-With ``jobs`` above 1 the runner forks ``jobs - 1`` workers once per suite
-(``os.fork``, one pipe each) and scans share 0 itself; share w is instances
-w, w + jobs, ... of every group.  A group may add a fourth element,
-``route(x)``: then instance x is in share ``route(x) % jobs``, so that the
-instances that need one costly engine meet in one process.  A worker sends
-back, per check, the index and ``str()`` of its first witness as JSON, and
-the runner keeps the witness of smallest index.  A share stops only past the
-index where a serial run stops, so the report is the same for every ``jobs``.
-A parallel run that fails in any way (an engine error, a dead worker, a
-failed fork, JSON that does not parse) is thrown away once its workers are
-reaped, and the suite is scanned again serially here, as ``jobs = 1`` scans
-it.  That raises the engine's own exception, or reports as usual when the
-error lay past every witness.  An interrupt propagates once they are reaped.
+Where this process may run on more than one CPU and ``os.fork`` exists, the
+runner forks one worker once per suite, with one pipe, and scans share 0
+itself while the worker scans share 1; share s is instances s, s + 2, ... of
+every group.  A group may add a fourth element, ``route(x)``: then instance
+x is in share ``route(x) % 2``, so that the instances that need one costly
+engine meet in one process.  The worker sends back, per check, the index and
+``str()`` of its first witness as JSON, and the runner keeps the witness of
+smallest index.  A share stops only past the index where a serial run stops,
+so the report is the same in one process or two, for library callers and
+the command line alike.  A parallel run that fails in any way (an engine
+error, a dead worker, a failed fork, JSON that does not parse) is thrown
+away once the worker is reaped, and the suite is scanned again serially
+here.  That raises the engine's own exception, or reports as usual when the
+error lay past every witness.  An interrupt propagates once the worker is
+reaped.
 """
 
 from __future__ import annotations
@@ -66,51 +68,48 @@ def _scan(groups, start: int, step: int):
         yield first
 
 
-def _worker(groups, start: int, step: int, write: int):
-    """Scan one share in a forked child, write it to the pipe as JSON, and leave."""
+def _worker(groups, write: int):
+    """Scan share 1 of 2 in a forked child, write it to the pipe as JSON, and leave."""
     try:
         with open(write, "w") as out:
-            json.dump(list(_scan(groups, start, step)), out)
+            json.dump(list(_scan(groups, 1, 2)), out)
     finally:
         os._exit(0)  # no atexit handlers or parent buffers; a share that raised sent no JSON
 
 
-def _forked(groups, jobs: int) -> list[list]:
-    """Every share of every group: share 0 is scanned in this process while
-    forked workers scan shares 1 to jobs - 1.  Every worker is reaped before
-    this returns or raises."""
-    pids, pipes, texts = [], [], None
-    try:
-        for w in range(1, jobs):
-            read, write = os.pipe()
-            pipes.append(open(read))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(groups, w, jobs, write)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        own = list(_scan(groups, 0, jobs))
-        texts = [pipe.read() for pipe in pipes]
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if texts is None:
+def _forked(groups) -> list[list]:
+    """Both shares of every group: share 0 is scanned in this process while a
+    forked worker scans share 1.  The worker is reaped before this returns or raises."""
+    read, write = os.pipe()
+    with open(read) as pipe:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _worker(groups, write)
+        finally:
+            os.close(write)
+        text = None
+        try:
+            own = list(_scan(groups, 0, 2))
+            text = pipe.read()
+        finally:
+            if text is None:
                 from signal import SIGKILL  # only here: the CLI's imports stay as they were
 
                 os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return [own, *map(json.loads, texts)]
+    return [own, json.loads(text)]
 
 
-def _run(suite: str, n_max: int, groups: list, jobs: int) -> dict:
+def _run(suite: str, n_max: int, groups: list) -> dict:
     """Run every group and report each check with its first witness."""
     shares = [_scan(groups, 0, 1)]
-    if jobs > 1 and hasattr(os, "fork"):
+    # One worker at most: two processes on two CPUs is the largest count that
+    # was measured, and more workers each repeat part of the engine work and
+    # its memory (modlaw's workers meet almost every m).
+    if usable_cpus() > 1 and hasattr(os, "fork"):
         try:
-            shares = _forked(groups, jobs)
+            shares = _forked(groups)
         except Exception:
             pass  # the serial scan meets the failure again, or ends before it
     checks = []
@@ -183,9 +182,9 @@ def suite_modlaw(n_max: int) -> list:
         name, f, triple = x
         return (None if modular.law_defect(f, triple).is_zero() else (name, triple),)
 
-    # With workers, S and E go to one process and G and g to another, so each
+    # With a worker, S and E go to one process and G and g to the other, so each
     # computes one of the two costly engines (P-tableaux; cycle statistics).
-    process = {"S": 0, "G": 1, "g": 1, "E": 2}
+    process = {"S": 0, "E": 0, "G": 1, "g": 1}
 
     groups = []
     for n in range(2, n_max + 1):
@@ -321,13 +320,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, n_max: int, jobs: int = 1) -> dict:
-    """Run one suite up to n_max on ``jobs`` processes; the report does not depend on jobs."""
+def run_suite(name: str, n_max: int) -> dict:
+    """Run one suite up to n_max; the report is the same in one process or two."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs = {jobs} is below 1")
     if n_max < 1:
         raise ValueError(f"n_max = {n_max} is below 1")
-    check_size(n_max)  # refused before any instance is built or any worker forked
-    return _run(name, n_max, SUITES[name](n_max), jobs)
+    check_size(n_max)  # refused before any instance is built or the worker forked
+    return _run(name, n_max, SUITES[name](n_max))

@@ -234,8 +234,8 @@ class SuiteStarted(Exception):
 
 @pytest.fixture
 def no_suite_runs(monkeypatch):
-    def fail(name, n_max, jobs=1):
-        raise SuiteStarted(name, n_max, jobs)
+    def fail(name, n_max):
+        raise SuiteStarted(name, n_max)
 
     monkeypatch.setattr(verify, "run_suite", fail)
 
@@ -262,23 +262,6 @@ def test_every_command_refuses_n_above_the_limit(no_suite_runs, no_engine_runs):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-
-def test_jobs_outside_the_usable_cpus_is_a_usage_error(capsys, monkeypatch, no_suite_runs):
-    def fork():
-        raise AssertionError("forked before the usage check")
-
-    monkeypatch.setattr(os, "fork", fork)
-    cpus = verify.usable_cpus()
-    for jobs in ("0", "-1", str(cpus + 1)):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "egs", "--n", "3", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-    for jobs, expected in (([], min(2, cpus)), (["--jobs", str(cpus)], cpus), (["--jobs", "1"], 1)):
-        with pytest.raises(SuiteStarted) as exc:
-            main(["verify", "--suite", "egs", "--n", "3", *jobs])
-        assert exc.value.args == ("egs", 3, expected)
 
 
 def test_verify_refuses_n_below_one(no_suite_runs):
@@ -395,9 +378,17 @@ def test_trace_figure_weights(capsys):
 
 
 def test_invalid_hessenberg_is_computation_error(capsys):
-    code, _, err = run(capsys, "compute", "--what", "E", "--m", "2,1")
-    assert code == 1
-    assert "error" in err
+    # --m is parsed before --k is checked against its length, so a malformed
+    # --m is reported whatever --k is
+    empty = "error: a Hessenberg function has positive length\n"
+    decreasing = "error: value 1 at position 2 violates 2 <= m(2) <= 2\n"
+    for argv, err in (
+        (["--what", "E", "--m", "2,1"], decreasing),
+        (["--what", "g", "--k", "0", "--m", ""], empty),
+        (["--what", "Ek", "--k", "1", "--m", " "], empty),
+        (["--what", "Ek", "--k", "5", "--m", "2,1"], decreasing),
+    ):
+        assert run(capsys, "compute", *argv) == (1, "", err), argv
 
 
 def test_an_empty_entry_in_m_is_a_computation_error(capsys, no_engine_runs):
@@ -450,9 +441,13 @@ def test_every_suite_passes_with_its_checks(suite):
     assert all(c == {"name": c["name"], "passed": True} for c in report["checks"])
 
 
-# Worker counts the parallel tests use: never more workers than usable CPUs.
-JOBS = (1, 2) if verify.usable_cpus() >= 2 else (1,)
-two_cpus = pytest.mark.skipif(verify.usable_cpus() < 2, reason="needs two usable CPUs")
+# The usable CPUs the parallel tests make the runner see: one process, or two.
+CPUS = (1, 2)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the runner see ``cpus`` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
 
 
 @pytest.fixture
@@ -463,10 +458,31 @@ def reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-@two_cpus
 @pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
-def test_two_workers_report_what_one_does(suite, reaped):
-    assert verify.run_suite(suite, 5, jobs=2) == verify.run_suite(suite, 5, jobs=1)
+def test_two_workers_report_what_one_does(suite, monkeypatch, reaped):
+    reports = []
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        reports.append(verify.run_suite(suite, 5))
+    assert reports[0] == reports[1]
+
+
+def test_the_runner_forks_one_worker_at_most(monkeypatch, reaped):
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    counts, reports = [], []
+    for cpus in (1, 2, 3, 8):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        reports.append(verify.run_suite("egs", 3))
+        counts.append(len(forks))
+    assert counts == [0, 1, 1, 1]
+    assert all(report == reports[0] for report in reports)
 
 
 def test_modlaw_shares_split_the_costly_engines(monkeypatch):
@@ -503,8 +519,9 @@ def test_failure_reports_the_first_witness(monkeypatch, reaped):
     from chromsym import gfunctions
 
     break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
-    for jobs in JOBS:
-        report = verify.run_suite("egs", 4, jobs)
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        report = verify.run_suite("egs", 4)
         assert report["passed"] is False
         assert report["checks"] == [
             {"name": "E = G = S on 22 functions", "passed": False, "witness": "(2, 2, 3)"},
@@ -513,11 +530,12 @@ def test_failure_reports_the_first_witness(monkeypatch, reaped):
 
 
 def test_the_witness_a_serial_run_finds_first_wins(monkeypatch, reaped):
-    # (1, 3, 3) and (2, 2, 3) are next to each other, so two workers each find one
+    # (1, 3, 3) and (2, 2, 3) are next to each other, so two processes each find one
     for bad_m in ((2, 2, 3), (1, 3, 3)):
         break_at(monkeypatch, gfunctions, "g_total", bad_m)
-    for jobs in JOBS:
-        report = verify.run_suite("egs", 4, jobs)
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        report = verify.run_suite("egs", 4)
         assert report["checks"][0] == {
             "name": "E = G = S on 22 functions", "passed": False, "witness": "(1, 3, 3)"
         }
@@ -527,8 +545,9 @@ def test_failure_is_confined_to_its_check(monkeypatch, reaped):
     from chromsym import transition
 
     break_at(monkeypatch, transition, "x_from_table", (2, 3, 3))
-    for jobs in JOBS:
-        report = verify.run_suite("x-all", 4, jobs)
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        report = verify.run_suite("x-all", 4)
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
         assert failed == [
@@ -540,8 +559,9 @@ def test_modlaw_witness_names_family_and_triple(monkeypatch, reaped):
     from chromsym import ptableaux
 
     break_at(monkeypatch, ptableaux, "s_fun", (3, 3, 3))
-    for jobs in JOBS:
-        report = verify.run_suite("modlaw", 4, jobs)
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        report = verify.run_suite("modlaw", 4)
         assert [c["passed"] for c in report["checks"]] == [True, False, True, False]
         assert report["checks"][1]["witness"] == "('S', ((1, 3, 3), (2, 3, 3), (3, 3, 3), 1))"
         assert report["checks"][3]["witness"] == "((3, 3, 3), 'S')"
@@ -551,8 +571,9 @@ def test_verify_failure_exits_one(capsys, monkeypatch, reaped):
     from chromsym import gfunctions
 
     break_at(monkeypatch, gfunctions, "g_total", (2, 2, 3))
-    for jobs in JOBS:
-        code, out, _ = run(capsys, "verify", "--suite", "egs", "--n", "4", "--jobs", str(jobs))
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        code, out, _ = run(capsys, "verify", "--suite", "egs", "--n", "4")
         assert code == 1
         assert "FAIL  E = G = S on 22 functions  witness: (2, 2, 3)" in out.splitlines()
         assert "PASS  E_k = G_k for every k" in out.splitlines()
@@ -579,10 +600,10 @@ def test_an_engine_error_is_the_same_on_every_worker_count(capsys, monkeypatch, 
     for bad_ms in ({(2, 2, 3)}, set(enumerate_hess(3))):
         with monkeypatch.context() as patch:
             raise_at(patch, transition, "e_total", bad_ms, NotDivisible)
-            results = {
-                run(capsys, "verify", "--suite", "egs", "--n", "4", "--jobs", str(jobs))
-                for jobs in JOBS
-            }
+            results = set()
+            for cpus in CPUS:
+                use_cpus(patch, cpus)
+                results.add(run(capsys, "verify", "--suite", "egs", "--n", "4"))
         assert results == {(1, "", f"error: no value at {min(bad_ms, key=order.index)}\n")}
 
     class Local(ValueError):
@@ -590,9 +611,10 @@ def test_an_engine_error_is_the_same_on_every_worker_count(capsys, monkeypatch, 
             super().__init__(text)
 
     raise_at(monkeypatch, coloring, "x_colorings", {(1, 3, 3), (2, 2, 3)}, Local)
-    for jobs in JOBS:
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
         with pytest.raises(Local, match=r"^no value at \(1, 3, 3\)$"):
-            verify.run_suite("x-all", 4, jobs)
+            verify.run_suite("x-all", 4)
 
 
 def test_an_error_after_every_witness_is_never_met(monkeypatch, reaped):
@@ -600,13 +622,13 @@ def test_an_error_after_every_witness_is_never_met(monkeypatch, reaped):
     break_at(monkeypatch, gfunctions, "g_cap", (1,))
     # a serial run leaves the group at m = (1,); a second process reaches n = 3
     raise_at(monkeypatch, transition, "e_total", set(enumerate_hess(3)), EngineStarted)
-    for jobs in JOBS:
-        assert [c.get("witness") for c in verify.run_suite("egs", 4, jobs)["checks"]] == [
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        assert [c.get("witness") for c in verify.run_suite("egs", 4)["checks"]] == [
             "(1,)", "((1,), 1)"
         ]
 
 
-@two_cpus
 def test_a_worker_that_dies_costs_a_serial_scan_and_is_reaped(capsys, monkeypatch, reaped):
     # the run is thrown away and scanned again serially, which passes
     parent, x_colorings = os.getpid(), coloring.x_colorings
@@ -617,12 +639,13 @@ def test_a_worker_that_dies_costs_a_serial_scan_and_is_reaped(capsys, monkeypatc
         return x_colorings(m)
 
     monkeypatch.setattr(coloring, "x_colorings", die)
-    serial = run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "1")
+    use_cpus(monkeypatch, 1)
+    serial = run(capsys, "verify", "--suite", "x-all", "--n", "3")
     assert serial[0] == 0
-    assert run(capsys, "verify", "--suite", "x-all", "--n", "3", "--jobs", "2") == serial
+    use_cpus(monkeypatch, 2)
+    assert run(capsys, "verify", "--suite", "x-all", "--n", "3") == serial
 
 
-@two_cpus
 def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, reaped):
     class Interrupt(BaseException):
         pass
@@ -635,13 +658,13 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, reaped):
         time.sleep(60)  # only a kill ends a worker in time
 
     monkeypatch.setattr(coloring, "x_colorings", stuck)
+    use_cpus(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(Interrupt):
-        verify.run_suite("x-all", 3, 2)
+        verify.run_suite("x-all", 3)
     assert time.monotonic() - started < 30
 
 
-@two_cpus
 def test_an_error_in_this_process_kills_and_reaps_the_workers(monkeypatch, reaped):
     from chromsym.errors import NotDivisible
 
@@ -653,9 +676,10 @@ def test_an_error_in_this_process_kills_and_reaps_the_workers(monkeypatch, reape
         time.sleep(60)  # only a kill ends a worker in time
 
     monkeypatch.setattr(coloring, "x_colorings", stuck)
+    use_cpus(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(NotDivisible, match=r"^no value at \(1,\)$"):
-        verify.run_suite("x-all", 3, 2)
+        verify.run_suite("x-all", 3)
     assert time.monotonic() - started < 30
 
 
@@ -663,10 +687,12 @@ def test_a_failed_fork_leaves_no_pipe_behind(monkeypatch, reaped):
     def fork():
         raise BlockingIOError("no process left")
 
-    serial = verify.run_suite("egs", 4, 1)
+    use_cpus(monkeypatch, 1)
+    serial = verify.run_suite("egs", 4)
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", fork)
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
-    assert verify.run_suite("egs", 4, 2) == serial
+    assert verify.run_suite("egs", 4) == serial
     assert fds == (os.listdir("/proc/self/fd") if fds else [])
 
 
@@ -680,12 +706,13 @@ def test_run_suite_refuses_an_n_it_cannot_meet_before_any_work(suite, monkeypatc
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setitem(verify.SUITES, suite, build)
-    for jobs in (1, 2):
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
         with pytest.raises(SizeLimitExceeded):
-            verify.run_suite(suite, 9, jobs)
+            verify.run_suite(suite, 9)
         for n_max in (0, -1):
             with pytest.raises(ValueError, match="below 1"):
-                verify.run_suite(suite, n_max, jobs)
+                verify.run_suite(suite, n_max)
 
 
 # The cache rule of chromsym.errors: per-m results for the whole process,
@@ -711,18 +738,20 @@ def test_per_m_scratch_is_kept_for_the_latest_m_only():
     assert [cache.cache_info().maxsize for cache in RESULTS] == [None] * len(RESULTS)
 
 
-def test_appendix_grows_each_m_once():
+def test_appendix_grows_each_m_once(monkeypatch):
     # one walk serves the probabilities and both weight variants; 64 m have n <= 5
+    use_cpus(monkeypatch, 1)  # one process, so this one's caches see every m
     cold_caches()
-    assert verify.run_suite("appendix", 5, 1)["passed"]
+    assert verify.run_suite("appendix", 5)["passed"]
     info = transition._table.cache_info()
     assert (info.misses, info.hits) == (64, 64)
 
 
-def test_x_all_counts_cycles_once_per_m():
+def test_x_all_counts_cycles_once_per_m(monkeypatch):
     # the cycle-sum engine and the decomposition read one m's statistics in turn
+    use_cpus(monkeypatch, 1)  # one process, so this one's caches see every m
     cold_caches()
-    assert verify.run_suite("x-all", 5, 1)["passed"]
+    assert verify.run_suite("x-all", 5)["passed"]
     info = gfunctions._cycle_stats.cache_info()
     assert (info.misses, info.hits) == (64, 64)
 
@@ -810,7 +839,7 @@ def test_a_command_is_parsed_once(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     for argv in (
         ["compute", "--what", "E", "--m", "2,2"],
-        ["verify", "--suite", "paths", "--n", "2", "--jobs", "1"],
+        ["verify", "--suite", "paths", "--n", "2"],
         ["reduce", "--m", "2,2"],
         ["trace", "transition", "--m", "2,2"],
     ):
@@ -846,7 +875,7 @@ ROUTE_CORPUS = [
     ["compute", "--what", "X", "--m", "2,2", "--json", "--tsv"],
     ["reduce", "--m", "2,2", "--em", "json"],
     ["reduce", "--m", "2,2", "--e", "json"],
-    ["verify", "--su", "egs", "--n", "3", "--j", "1"],
+    ["verify", "--su", "egs", "--n", "3", "--js"],
     ["compute", "--wh", "X", "--m", "2,2", "--met", "schur", "--at", "2"],
     ["reduce", "--m=2,2", "--emit=json"],
     ["compute", "--what=rho", "--k=2"],
@@ -928,6 +957,7 @@ def test_sink_suite_enumerates_sink_one_orientations_once_per_function(monkeypat
 
     monkeypatch.setattr(orientations, "_acyclic", counted)
     monkeypatch.setattr(orientations, "ao_tally", counted_tally)
+    use_cpus(monkeypatch, 1)  # one process, so these counts see every m
     assert verify.run_suite("sink", 4)["passed"] is True
     # one tally per m serves both theorems and the binomial counts: its one
     # enumeration keeps the sink-1 masks, and no other enumeration is made
