@@ -4,13 +4,14 @@ The transition, cycle-sum, P-tableau, coloring, acyclic-orientation and
 reduction engines refuse a Hessenberg function longer than :data:`MAX_N`.
 Each checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
 
-One rule decides what an engine keeps.  A per-m result that a suite reads
-again for another m is cached for the whole process: ``transition._e_parts``,
-``gfunctions._cycle_sums``, ``ptableaux.s_fun``, ``modular.reduce_to_paths``.
-Per-m scratch, read again only for the same m, is kept for the latest m alone
-(``lru_cache(maxsize=1)``): ``transition._table``, ``gfunctions._cycle_stats``,
-``ptableaux._value_masks``, ``orientations._incident``, ``coloring._class_counts``;
-so are the runs ``transition.insertion_runs`` reads for one (tableau, r).
+One rule decides what an engine keeps.  A per-m result that a suite reads again for
+another m is kept for the process: ``transition._e_parts``, ``gfunctions._cycle_sums``,
+``ptableaux.s_fun``, ``modular.reduce_to_paths``.  Per-m scratch, read again only for the
+same m, is kept for the latest m alone (``lru_cache(maxsize=1)``): ``transition._table``,
+``gfunctions._cycle_stats``, ``ptableaux._value_masks``, ``orientations._incident``,
+``coloring._class_counts``, and ``transition.insertion_runs`` for one (tableau, r).  A table
+no m decides is kept for the process, as the size limit bounds it: ``transition._weight``,
+``transition._step``, ``ptableaux._diagram``, ``gfunctions._term``.
 """
 
 MAX_N = 8

@@ -48,15 +48,26 @@ def inv_filling(m: Hess, rows: Filling) -> int:
 
 
 @lru_cache(maxsize=1)
-def _value_masks(m: Hess) -> tuple[tuple[int, ...], ...]:
-    """Bitmasks over [n] by value x (0 for no neighbour): the values allowed right
-    of x, the values allowed below x, the neighbours y > x; and x's first index in edges(m)."""
+def _value_masks(m: Hess) -> tuple:
+    """By value x (0 for no neighbour): masks of the values allowed right of and below x and
+    of the neighbours y > x, x's first index in edges(m); the longest chain, the largest clique."""
     full = (1 << len(m) + 1) - 2
     right_of = (full,) + tuple(full >> v + 1 << v + 1 for v in m)
     reach = (bisect_left(m, x) + 1 for x in range(1, len(m) + 1))  # the least y with x <= m(y)
     below_ok = (full,) + tuple(full >> r << r for r in reach)
     higher = (0,) + tuple(full >> x + 1 << x + 1 & ~r for x, r in enumerate(right_of[1:], 1))
-    return right_of, below_ok, higher, (0, 0, *accumulate(v - i for i, v in enumerate(m, 1)))
+    chain = x = 0
+    while x < len(m):  # the greedy chain from 1 is longest, as m is nondecreasing
+        chain, x = chain + 1, m[x]
+    clique = max((v - i for i, v in enumerate(m)), default=0)  # [i + 1, m(i + 1)] is a clique
+    offset = (0, 0, *accumulate(v - i for i, v in enumerate(m, 1)))
+    return right_of, below_ok, higher, offset, chain, clique
+
+
+def _fillable(m: Hess, lam: Partition) -> bool:
+    """Whether a shape of n cells passes both bounds: a row is a chain, a clique spans rows."""
+    *_, chain, clique = _value_masks(m)
+    return max(lam, default=0) <= chain and len(lam) >= clique
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +84,15 @@ def _diagram(row_lengths: tuple[int, ...]) -> tuple:
     return bounds, left, up, later
 
 
-def _search(
+def _search(m: Hess, outer: Partition, corner1: bool, keep: bool, by_mask: bool = False):
+    """The kernel on a checked m and shape; a shape of n cells that fails a bound is empty."""
+    check_size(len(m))
+    if sum(lam := check_partition(outer)) == len(m) and not _fillable(m, lam):
+        return Counter() if by_mask else [0] * (area(m) + 1), []
+    return _kernel(m, lam, corner1, keep, by_mask)
+
+
+def _kernel(
     m: Hess, row_lengths: Partition, corner1: bool, keep: bool, by_mask: bool = False
 ) -> tuple[list[int] | Counter[int], list[Filling]]:
     """Fillings counted by inv and, when ``keep`` is set, listed; or, unbuilt, counted by mask.
@@ -88,9 +107,8 @@ def _search(
     y left, which then has every y' in ``higher[y]`` placed: its parent counts
     it, with no call per leaf.
     """
-    check_size(len(m))
-    row_lengths = check_partition(row_lengths)
-    counts, fillings = Counter() if by_mask else [0] * (area(m) + 1), []
+    right_of, below_ok, higher, offset, _, _ = _value_masks(m)
+    counts, fillings = Counter() if by_mask else [0] * (offset[-1] + 1), []  # [-1]: the area
     bounds, left, up, later = _diagram(row_lengths)
     size = len(left) - 1
     if size > len(m) or (corner1 and not size):
@@ -98,7 +116,6 @@ def _search(
     if not size:
         counts[0] += 1
         return counts, [()]
-    right_of, below_ok, higher, offset = _value_masks(m)
     vals = [0] * (size + 1)  # vals[-1] stays 0, the value of a missing neighbour
     cut = size == len(m)
     last = size - 1 if cut and not keep else 0  # the forced last cell; 0 for none
@@ -175,9 +192,9 @@ def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
     """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
-    n = len(m)
-    check_size(n)  # before partitions(n) is built; the kernel checks only after
-    return SymFun(n, "s", {lam: pt_poly(m, lam, corner1=corner1) for lam in partitions(n)})
+    check_size(n := len(m))  # before partitions(n) is built; the kernel checks no n or shape
+    polys = {lam: _kernel(m, lam, corner1, False)[0] for lam in partitions(n) if _fillable(m, lam)}
+    return SymFun(n, "s", {lam: QPoly._trusted(c) for lam, c in polys.items()})
 
 
 @lru_cache(maxsize=None)

@@ -125,6 +125,11 @@ class SymFun:
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
+            for unit, f in ((self, other), (other, self)):
+                if [*unit.coeffs.values()] == [ONE]:  # e_mu f relabels f: lam -> lam + mu is 1-1
+                    (mu,) = unit.coeffs
+                    keys = {tuple(sorted(lam + mu, reverse=True)): c for lam, c in f.coeffs.items()}
+                    return SymFun(self.degree + other.degree, "e", keys)
             rows: dict[Partition, list[int]] = {}
             for lam, c in self.coeffs.items():
                 for mu, d in other.coeffs.items():

@@ -715,9 +715,10 @@ def test_run_suite_refuses_an_n_it_cannot_meet_before_any_work(suite, monkeypatc
                 verify.run_suite(suite, n_max)
 
 
-# The cache rule of chromsym.errors: per-m results for the whole process,
-# per-m scratch for the latest m only.
+# The cache rule of chromsym.errors: per-m results for the whole process, per-m
+# scratch for the latest m only, and tables no m decides for the whole process.
 RESULTS = (transition._e_parts, gfunctions._cycle_sums, ptableaux.s_fun, modular.reduce_to_paths)
+TABLES = (transition._weight, transition._step, ptableaux._diagram, gfunctions._term)
 SCRATCH = (
     transition._table,
     gfunctions._cycle_stats,
@@ -729,13 +730,23 @@ SCRATCH = (
 
 
 def cold_caches():
-    for cache in RESULTS + SCRATCH:
+    for cache in RESULTS + SCRATCH + TABLES:
         cache.cache_clear()
 
 
 def test_per_m_scratch_is_kept_for_the_latest_m_only():
     assert [cache.cache_info().maxsize for cache in SCRATCH] == [1] * len(SCRATCH)
     assert [cache.cache_info().maxsize for cache in RESULTS] == [None] * len(RESULTS)
+    assert [cache.cache_info().maxsize for cache in TABLES] == [None] * len(TABLES)
+
+
+def test_egs_takes_each_growth_step_once(monkeypatch):
+    # the 196 walks up to n = 6 take 1,406 steps, of 126 distinct (tableau, threshold) pairs
+    use_cpus(monkeypatch, 1)  # one process, so this one's caches see every m
+    cold_caches()
+    assert verify.run_suite("egs", 6)["passed"]
+    info = transition._step.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (126, 1280, 126)
 
 
 def test_appendix_grows_each_m_once(monkeypatch):

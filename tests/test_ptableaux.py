@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from chromsym import ptableaux
 from chromsym.coloring import x_colorings
 from chromsym.errors import InvalidFilling, IsBaseTableau, SizeLimitExceeded
 from chromsym.hessenberg import enumerate_hess, hsum, path
@@ -36,7 +37,7 @@ def test_inv_examples():
 
 
 def test_every_entry_point_refuses_n_above_the_limit():
-    # the one search kernel checks the length of m, so none of them runs at n = 9
+    # each entry point checks the length of m before any search, so none runs at n = 9
     m = path(9)
     for compute in (
         lambda: enumerate_pt(m, (5, 4)),
@@ -233,6 +234,42 @@ def test_kernel_matches_fillings_by_definition():
                 for corner1, want in ((False, every), (True, _primed(every))):
                     assert enumerate_pt(m, lam, corner1) == tuple(want), (m, lam)
                     assert pt_poly(m, lam, corner1) == _inv_sum(m, want), (m, lam)
+
+
+def test_every_shape_the_bounds_skip_has_no_filling():
+    # the bounds are checked against placements by definition, not against the kernel
+    skipped = [
+        (m, lam)
+        for n in range(1, 7)
+        for m in enumerate_hess(n)
+        for lam in partitions(n)
+        if not ptableaux._fillable(m, lam)
+    ]
+    assert len(skipped) == 840
+    assert all(_by_definition(m, lam) == [] for m, lam in skipped)
+
+
+def test_schur_sums_search_only_the_shapes_the_bounds_keep(monkeypatch):
+    # 996 of the 1,836 (m, lam) with lam a partition of n <= 6 pass both bounds;
+    # pt_poly, shape by shape, skips the same 840
+    searched = []
+    kernel = ptableaux._kernel
+
+    def counted(m, lam, *args):
+        searched.append(lam)
+        return kernel(m, lam, *args)
+
+    def shape_by_shape(m):
+        return [pt_poly(m, lam, corner1=True) for lam in partitions(len(m))]
+
+    monkeypatch.setattr(ptableaux, "_kernel", counted)
+    s_fun.cache_clear()
+    for schur_sum in (s_fun, x_schur, shape_by_shape):
+        searched.clear()
+        for n in range(1, 7):
+            for m in enumerate_hess(n):
+                schur_sum(m)
+        assert len(searched) == 996, schur_sum.__name__
 
 
 @pytest.mark.parametrize("outer", [(1, 2), (2, 0)])

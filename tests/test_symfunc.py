@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from chromsym import symfunc
 from chromsym.cli import _print_symfun
 from chromsym.coloring import x_colorings
 from chromsym.errors import DegreeMismatch
-from chromsym.gfunctions import g_total, gfun, x_cycle_sum
+from chromsym.gfunctions import _omega_rho_product, g_total, gfun, x_cycle_sum
 from chromsym.hessenberg import area, enumerate_hess
 from chromsym.modular import enumerate_triples, evaluate, law_defect, reduce_to_paths
 from chromsym.partitions import partitions
@@ -87,6 +88,41 @@ def test_mul_commutative_associative():
         h = random_symfun(rng.randint(1, 2), rng)
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
+
+
+def _by_pairs(f, g):
+    """f * g by definition: each pair of terms adds its product at the union of its keys."""
+    out = {}
+    for lam, c in f.coeffs.items():
+        for mu, d in g.coeffs.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, ZERO) + c * d
+    return SymFun(f.degree + g.degree, "e", out)
+
+
+def test_a_unit_monomial_relabels_the_other_factor(monkeypatch):
+    # e_mu times f, either way round, moves f's coefficients to new keys and multiplies
+    # no polynomials; a coefficient other than 1, or a second term, takes the general path
+    others = [h_to_e(d) for d in range(6)]
+    others += [_omega_rho_product(lam) for d in range(6) for lam in partitions(d)]
+    units = [SymFun.e_term(mu) for d in range(4) for mu in partitions(d)]
+    general = [e.scaled(c) for e in units for c in (2, -1, Q)]
+    general += [e + SymFun.e_term((e.degree,)) for e in units if e.degree > 1]
+    calls = []
+    add_product = symfunc._add_product
+    monkeypatch.setattr(symfunc, "_add_product", lambda *args: calls.append(add_product(*args)))
+    for f in others:
+        for e in units:
+            (mu,) = e.coeffs
+            shared = {tuple(sorted(lam + mu, reverse=True)): c for lam, c in f.coeffs.items()}
+            calls.clear()
+            for product in (e * f, f * e):
+                assert product == _by_pairs(e, f) and not calls
+            assert all((e * f).coeffs[key] is c for key, c in shared.items())
+        for e in general if [*f.coeffs.values()] != [ONE] else ():
+            for a, b in ((e, f), (f, e)):
+                calls.clear()
+                assert a * b == _by_pairs(e, f) and calls
 
 
 def test_to_monomial_examples():
