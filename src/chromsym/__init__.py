@@ -6,7 +6,7 @@ path-decomposition certificates, and sink/orientation identities, all over
 exact rational functions in q.
 """
 
-from .hessenberg import area, classify, edges, enumerate_hess, hess, path, poset_less
+from .hessenberg import area, edges, enumerate_hess, hess, path, poset_less
 from .qpoly import QPoly, QRat, q_fact, q_int
 from .symfunc import SymFun, h_to_e, omega
 
@@ -15,7 +15,6 @@ __all__ = [
     "QRat",
     "SymFun",
     "area",
-    "classify",
     "edges",
     "enumerate_hess",
     "h_to_e",

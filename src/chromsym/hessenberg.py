@@ -9,11 +9,8 @@ construction.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-
-from .errors import InvariantViolation
 
 Hess = tuple[int, ...]
 
@@ -114,55 +111,3 @@ def path_components(m: Hess) -> tuple[int, ...] | None:
         return None
     ends = [i for i, v in enumerate(m, start=1) if v == i]
     return tuple(b - a for a, b in zip([0] + ends, ends))
-
-
-class _Shape(tuple):
-    """A named tuple equal only to one of its own class: Flat(3, 2) != NonFlat(3, 2) != (3, 2)."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-class UnionOfPaths(_Shape, namedtuple("UnionOfPaths", "parts")):
-    __slots__ = ()
-
-
-class Flat(_Shape, namedtuple("Flat", "alpha beta")):
-    __slots__ = ()
-
-
-class NonFlat(_Shape, namedtuple("NonFlat", "alpha beta")):
-    __slots__ = ()
-
-
-def classify(m: Hess) -> UnionOfPaths | Flat | NonFlat:
-    """Sort a Hessenberg function into the three reduction cases.
-
-    When m is not a union of paths, alpha is the largest value in [n-1] that
-    is missed by m while alpha+1 is attained with min preimage < alpha; the
-    function is flat when m(alpha) = m(alpha+1).
-    """
-    parts = path_components(m)
-    if parts is not None:
-        return UnionOfPaths(parts)
-    n = len(m)
-    values = set(m)
-    for a in range(n - 1, 0, -1):
-        if a in values or (a + 1) not in values:
-            continue
-        beta = min(i for i in range(1, n + 1) if m[i - 1] == a + 1)
-        if beta < a:
-            if m[a - 1] == m[a]:
-                return Flat(a, beta)
-            # the largest-alpha choice forces the step to be exactly one
-            if m[a] != m[a - 1] + 1:
-                raise InvariantViolation(f"non-flat step broken at {m}")
-            return NonFlat(a, beta)
-    raise InvariantViolation(f"no split point found for non-path {m}")

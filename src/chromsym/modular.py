@@ -29,15 +29,7 @@ from types import MappingProxyType
 
 from .errors import DegreeMismatch, InvariantViolation, check_size
 from .gfunctions import path_e_closed, path_x_closed
-from .hessenberg import (
-    Flat,
-    Hess,
-    UnionOfPaths,
-    classify,
-    enumerate_hess,
-    hess_error,
-    path_components,
-)
+from .hessenberg import Hess, enumerate_hess, hess_error, path_components
 from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
@@ -89,6 +81,8 @@ def is_type2(m: Hess, mp: Hess, mpp: Hess, i: int, restricted: bool = False) -> 
 
 def enumerate_triples(n: int, kind: str) -> tuple[Triple, ...]:
     """All triples of a kind ('I', 'II', or 'IIr') within length n."""
+    if kind not in ("I", "II", "IIr"):
+        raise ValueError(f"kind is 'I', 'II' or 'IIr', not {kind!r}")
     out = []
     for mp in enumerate_hess(n):
         for i in range(1, n):
@@ -115,18 +109,24 @@ def reduction_step(m: Hess) -> tuple[Term, ...]:
     at alpha to m2, gives the restricted type-II triple (m0, m, m2) and the
     type-I triple (m0_1, m_1, m2): f(m) = f(m_1) + q/(1+q) (f(m0) - f(m0_1)).
     A union of paths has no step and raises ``ValueError``.
+
+    alpha is the largest value in [n-1] that m misses while alpha + 1 is
+    attained first at some beta < alpha; m is flat when m(alpha) = m(alpha+1).
     """
-    shape = classify(m)
-    if isinstance(shape, UnionOfPaths):
+    if path_components(m) is not None:
         raise ValueError(f"{m} is a union of paths")
-    b = shape.beta
-    if isinstance(shape, Flat):
+    values = set(m)
+    for a in range(len(m) - 1, 0, -1):
+        if a not in values and a + 1 in values and (b := m.index(a + 1) + 1) < a:
+            break
+    else:
+        raise InvariantViolation(f"no split point found for non-path {m}")
+    if m[a - 1] == m[a]:
         m0 = m[: b - 1] + (m[b - 1] - 2,) + m[b:]
         m1 = m[: b - 1] + (m[b - 1] - 1,) + m[b:]
         if not is_type1(m0, m1, m, b):
             raise InvariantViolation(f"flat step broke the type-I predicate at {m}")
         return ((1, 0, 1, m1), (-1, 1, 0, m0))
-    a = shape.alpha
     m0 = m[:a] + (m[a] - 1,) + m[a + 1 :]
     m2 = m[: a - 1] + (m[a - 1] + 1,) + m[a:]
     m0_1 = m2[: b - 1] + (m2[b - 1] - 2,) + m2[b:]

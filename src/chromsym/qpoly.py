@@ -452,8 +452,17 @@ class QRat:
         return value
 
     def packed_form(self) -> tuple[int, int]:
-        """(packed numerator, power of 1 + q) of a value made by :meth:`over_one_plus_q`."""
-        return self._packed
+        """(packed numerator, power of 1 + q) of a value over 1 or a power of
+        1 + q; any other value raises ``ValueError``.  A value made by
+        :meth:`over_one_plus_q` keeps it in a slot."""
+        try:
+            return self._packed
+        except AttributeError:
+            pass
+        exps = self._exps  # () or (0, 0, e) when the denominator is (1+q)**e
+        if len(exps) > 3:
+            raise ValueError(f"{self} is not over a power of 1 + q")
+        return pack(self.num.coeffs), exps[2] if exps else 0
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

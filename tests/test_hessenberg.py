@@ -1,13 +1,9 @@
-"""Hessenberg functions: validation, views, constructors, classification."""
+"""Hessenberg functions: validation, views, constructors, path components."""
 
 import pytest
 
 from chromsym.hessenberg import (
-    Flat,
-    NonFlat,
-    UnionOfPaths,
     area,
-    classify,
     edges,
     enumerate_hess,
     hess,
@@ -16,6 +12,7 @@ from chromsym.hessenberg import (
     path_components,
     poset_less,
 )
+from chromsym.modular import reduction_step
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -101,31 +98,6 @@ def test_enumerate_counts():
     assert enumerate_hess(1) == ((1,),)
 
 
-def test_classify_examples():
-    assert classify((2, 4, 4, 4)) == Flat(alpha=3, beta=2)
-    assert classify((2, 4, 4, 5, 5)) == NonFlat(alpha=3, beta=2)
-    assert classify(path(5)) == UnionOfPaths((5,))
-
-
-def test_classify_shapes_are_immutable_values_of_their_own_type():
-    assert Flat(3, 2) != NonFlat(3, 2)
-    assert not Flat(3, 2) == NonFlat(3, 2)
-    assert Flat(3, 2) != (3, 2) and (3, 2) != Flat(3, 2)
-    assert UnionOfPaths((5,)) != (5,)
-    assert Flat(3, 2) == Flat(alpha=3, beta=2) == Flat(3, beta=2)
-    assert hash(Flat(3, 2)) == hash(Flat(alpha=3, beta=2))
-    assert hash(UnionOfPaths((2, 1))) == hash(UnionOfPaths(parts=(2, 1)))
-    assert len({Flat(3, 2), Flat(alpha=3, beta=2), NonFlat(3, 2)}) == 2
-    shape = NonFlat(alpha=3, beta=2)
-    assert (shape.alpha, shape.beta) == (3, 2)
-    assert UnionOfPaths(parts=(2, 1)).parts == (2, 1)
-    with pytest.raises(AttributeError):
-        shape.alpha = 4
-    with pytest.raises(AttributeError):
-        shape.gamma = 1
-    assert shape == NonFlat(3, 2)
-
-
 def _reference_path_components(m):
     """Path component sizes from a graph search over edges(m): the reference."""
     n = len(m)
@@ -150,21 +122,14 @@ def _reference_path_components(m):
     return tuple(sizes)
 
 
-def test_classify_agrees_with_path_components():
+def test_unions_of_paths_agree_with_the_graph_reference():
+    # path_components finds them, and reduction_step refuses exactly them
     for n in range(1, 9):
         for m in enumerate_hess(n):
             parts = _reference_path_components(m)
             assert path_components(m) == parts, m
             if parts is None:
-                assert not isinstance(classify(m), UnionOfPaths), m
+                assert reduction_step(m), m
             else:
-                assert classify(m) == UnionOfPaths(parts), m
-
-
-def test_nonflat_step_is_one():
-    # the classification itself asserts m(alpha+1) = m(alpha) + 1; exercise it
-    for n in range(3, 7):
-        for m in enumerate_hess(n):
-            shape = classify(m)
-            if isinstance(shape, NonFlat):
-                assert m[shape.alpha] == m[shape.alpha - 1] + 1
+                with pytest.raises(ValueError):
+                    reduction_step(m)

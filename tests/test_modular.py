@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from chromsym import gfunctions, modular, transition
-from chromsym.errors import DegreeMismatch, NotDivisible
+from chromsym.errors import DegreeMismatch, InvariantViolation, NotDivisible
 from chromsym.gfunctions import g_total
-from chromsym.hessenberg import area, classify, enumerate_hess, hsum, path, path_components
+from chromsym.hessenberg import area, enumerate_hess, hsum, path, path_components
 from chromsym.modular import (
     certificate_from_json,
     certificate_json,
@@ -35,6 +35,13 @@ from chromsym.transition import e_total
 def test_no_triples_at_n2():
     for kind in ("I", "II", "IIr"):
         assert enumerate_triples(2, kind) == ()
+
+
+def test_enumerate_triples_refuses_an_unknown_kind():
+    # a typo must not fall through to the unrestricted type-II family
+    for kind in ("bogus", "i", "IIR"):
+        with pytest.raises(ValueError):
+            enumerate_triples(5, kind)
 
 
 def test_restriction_excludes_i1():
@@ -99,19 +106,79 @@ def test_reduction_step_refuses_a_union_of_paths():
             reduction_step(m)
 
 
-def test_reduction_classifies_each_m_once(monkeypatch):
+def test_reduction_steps_each_non_path_m_once(monkeypatch):
     calls = []
 
     def counted(m):
         calls.append(m)
-        return classify(m)
+        return reduction_step(m)
 
-    monkeypatch.setattr(modular, "classify", counted)
+    monkeypatch.setattr(modular, "reduction_step", counted)
     reduce_to_paths.cache_clear()
     ms = [m for n in range(1, 8) for m in enumerate_hess(n)]
     for m in ms:
         reduce_to_paths(m)
     assert sorted(calls) == sorted(m for m in ms if path_components(m) is None)
+
+
+def _moved(m, i, delta):
+    """m with m(i) moved by delta."""
+    return m[: i - 1] + (m[i - 1] + delta,) + m[i:]
+
+
+def _reference_case(m):
+    """The case split stated directly: (alpha, beta, flat) for m not a union of paths.
+
+    alpha is the largest value in [n-1] missed by m such that alpha + 1 is
+    attained, with least preimage beta < alpha; m is flat when
+    m(alpha) = m(alpha+1)."""
+    n = len(m)
+    for alpha in range(n - 1, 0, -1):
+        preimages = [i for i in range(1, n + 1) if m[i - 1] == alpha + 1]
+        if alpha not in m and preimages and min(preimages) < alpha:
+            return alpha, min(preimages), m[alpha - 1] == m[alpha]
+    return None
+
+
+def _reference_terms(m):
+    """The law's terms at m from the reference case: a flat m tops the type-I
+    triple of its lowerings at beta; a non-flat m is the middle of the type-II
+    triple at alpha, whose top m2 tops the type-I triple of its lowerings at beta."""
+    alpha, beta, flat = _reference_case(m)
+    if flat:
+        return ((1, 0, 1, _moved(m, beta, -1)), (-1, 1, 0, _moved(m, beta, -2)))
+    m2 = _moved(m, alpha, 1)
+    return (
+        (1, 0, 0, _moved(m2, beta, -1)),
+        (1, 1, -1, _moved(m, alpha + 1, -1)),
+        (-1, 1, -1, _moved(m2, beta, -2)),
+    )
+
+
+def test_reduction_step_picks_the_case_at_the_examples():
+    assert _reference_case((2, 4, 4, 4)) == (3, 2, True)
+    assert reduction_step((2, 4, 4, 4)) == _reference_terms((2, 4, 4, 4))
+    assert len(reduction_step((2, 4, 4, 4))) == 2
+    assert _reference_case((2, 4, 4, 5, 5)) == (3, 2, False)
+    assert reduction_step((2, 4, 4, 5, 5)) == _reference_terms((2, 4, 4, 5, 5))
+    assert len(reduction_step((2, 4, 4, 5, 5))) == 3
+
+
+def test_reduction_step_agrees_with_the_reference_case_split():
+    stepped = 0
+    for n in range(1, 9):
+        for m in enumerate_hess(n):
+            if path_components(m) is None:
+                assert reduction_step(m) == _reference_terms(m), m
+                stepped += 1
+    assert stepped == 1800
+
+
+def test_a_missing_split_point_is_an_invariant_violation(monkeypatch):
+    # a path has no split point; with the path test disabled the step must say so in its own type
+    monkeypatch.setattr(modular, "path_components", lambda m: None)
+    with pytest.raises(InvariantViolation, match="no split point"):
+        reduction_step(path(4))
 
 
 def test_area_is_not_modular():
@@ -310,6 +377,16 @@ def test_certificates_read_back_render_as_the_originals():
         for k in range(20000):
             str(QRat(k, q_int(2) ** (k % 4))) + QRat(-k).json_text()
         gc.collect()
+
+
+def test_certificates_read_back_keep_their_packed_forms():
+    for n in range(1, 7):
+        for m in enumerate_hess(n):
+            cert = reduce_to_paths(m)
+            back = certificate_from_json(certificate_json(m, cert))
+            assert {k: c.packed_form() for k, c in back.items()} == {
+                k: c.packed_form() for k, c in cert.items()
+            }, m
 
 
 def test_certificate_json_is_a_fresh_tree_each_call():

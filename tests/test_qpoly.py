@@ -301,6 +301,16 @@ def test_over_one_plus_q_matches_the_constructor(w, j, e, zeros):
     assert QRat.over_one_plus_q(packed, top) is value
 
 
+def test_packed_form_of_a_value_not_made_packed():
+    # any value over 1 or a power of 1 + q packs; any other denominator is refused
+    assert QRat(1).packed_form() == (1, 0)
+    assert QRat(-Q, q_int(2) ** 3).packed_form() == (pack([0, -1]), 3)
+    assert QRat(q_int(2), q_int(2) ** 2).packed_form() == (1, 1)
+    for den in (q_int(3), q_int(2) * q_int(3), q_int(4)):
+        with pytest.raises(ValueError):
+            QRat(1, den).packed_form()
+
+
 packable = st.lists(st.integers(-PACK_LIMIT, PACK_LIMIT), max_size=12)
 
 

@@ -21,7 +21,6 @@ KEPT = {
     "SymFun.to_e",  # tests/test_acceptance.py calls it on engine results
     "theta_of",  # the tableau-to-orientation map the hook counts are tested against
     "dominates",  # the order the Kostka matrices are tested to be triangular in
-    "pack",  # the inverse of qpoly.unpack, for the packed-form tests
     "certificate_json",  # the parsed form of reduce --emit json
     "SymFun.is_e_positive_at_one",  # the paper's theorem at q = 1, for a positivity suite
 }
