@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import check_size
-from .hessenberg import Hess
+from .hessenberg import Hess, check_hess
 from .partitions import partitions
 from .qpoly import QPoly, unpack
 from .symfunc import SymFun
@@ -73,8 +72,7 @@ def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> i
 
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     """Sum of q^inv over proper colorings using each color a prescribed number of times."""
-    n = len(m)
-    check_size(n)
+    n = len(check_hess(m))
     if sum(multiplicities.values()) != n or min(multiplicities.values()) < 0:
         raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
     # Only the order of the colors matters, so color c stands for the c-th smallest.
@@ -89,7 +87,6 @@ def x_colorings(m: Hess) -> SymFun:
     colorings whose color multiset is exactly lam (color i used lam_i times);
     symmetry makes the choice of representative monomial irrelevant.
     """
-    n = len(m)
-    check_size(n)
+    n = len(check_hess(m))
     coeffs = {lam: content_coefficient(m, dict(enumerate(lam, 1))) for lam in partitions(n)}
     return SymFun(n, "m", coeffs)

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the one size limit.
 
 The transition, cycle-sum, P-tableau, coloring, acyclic-orientation and
-reduction engines refuse a Hessenberg function longer than :data:`MAX_N`.
-Each checks once, at its entry point, and raises :class:`SizeLimitExceeded`.
+reduction engines pass m through one gate, :func:`.hessenberg.check_hess`, before
+their first cache.  It raises :class:`SizeLimitExceeded` for an m longer than
+:data:`MAX_N`, and :class:`NotHessenberg` for any other m that is not a Hessenberg function.
 
 One rule decides what an engine keeps.  A per-m result that a suite reads again for
 another m is kept for the process: ``transition._e_parts``, ``gfunctions._cycle_sums``,
@@ -11,7 +12,7 @@ same m, is kept for the latest m alone (``lru_cache(maxsize=1)``): ``transition.
 ``gfunctions._cycle_stats``, ``ptableaux._value_masks``, ``orientations._incident``,
 ``coloring._class_counts``, and ``transition.insertion_runs`` for one (tableau, r).  A table
 no m decides is kept for the process, as the size limit bounds it: ``transition._weight``,
-``transition._step``, ``ptableaux._diagram``, ``gfunctions._term``.
+``transition._step``, ``ptableaux._diagram``, ``gfunctions._term``, ``gfunctions._e_term``.
 """
 
 MAX_N = 8
@@ -43,6 +44,10 @@ class DegreeMismatch(ValueError):
 
 class SizeLimitExceeded(ValueError):
     """Raised when an engine is asked for n above :data:`MAX_N`."""
+
+
+class NotHessenberg(ValueError):
+    """Raised when an engine is given an m that is not a Hessenberg function."""
 
 
 def check_size(n: int) -> None:

@@ -23,8 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import add, mul
 
-from .errors import check_size
-from .hessenberg import Hess
+from .hessenberg import Hess, check_hess
 from .partitions import compositions
 from .qpoly import ONE, QPoly, q_int
 from .symfunc import SymFun, combination, h_to_e, omega
@@ -64,8 +63,7 @@ def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     A permutation is done once every vertex is placed, and is tallied under its
     cycle sizes in order; each distinct tuple is sorted into its key once, at the end.
     """
-    check_size(len(m))
-    n = len(m)
+    n = len(check_hess(m))
     up = [0] + [(1 << m[x - 1] + 1) - (1 << x + 1) for x in range(1, n + 1)]
     n_edges = sum(b.bit_count() for b in up)
     full = (1 << n + 1) - 1  # bit 0 is always set, so placed + 1 flips the lowest free bit
@@ -104,6 +102,9 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
     return -term if d % 2 else term
 
 
+_e_term = lru_cache(maxsize=None)(SymFun.e_term)  # e_k for the caps, one per degree k <= n
+
+
 @lru_cache(maxsize=None)
 def _cycle_sums(m: Hess) -> tuple[tuple[SymFun, ...], tuple[SymFun, ...], SymFun]:
     """gfun(m, k) for k in [0, n), with first cycles of size t1 >= n - k and
@@ -114,7 +115,7 @@ def _cycle_sums(m: Hess) -> tuple[tuple[SymFun, ...], tuple[SymFun, ...], SymFun
         combination(k, ((c, _term(k - n + t1, rest)) for (t1, rest), c in stats if t1 >= n - k))
         for k in range(n)
     )
-    caps = tuple(SymFun.e_term((k,)) * gs[n - k] for k in range(1, n + 1))
+    caps = tuple(_e_term((k,)) * gs[n - k] for k in range(1, n + 1))
     return gs, caps, combination(n, ((1, cap) for cap in caps))
 
 
@@ -124,18 +125,18 @@ def gfun(m: Hess, k: int) -> SymFun:
     Sums over bounded permutations whose first cycle has size at least n - k;
     a first cycle of size n - k + d contributes with sign (-1)^d through h_d.
     """
-    n = len(m)
-    if not 0 <= k < n:
-        raise ValueError(f"k must lie in [0, {n})")
-    return _cycle_sums(m)[0][k]
+    gs = _cycle_sums(m)[0]  # the gate comes before k is read against n
+    if not 0 <= k < len(gs):
+        raise ValueError(f"k must lie in [0, {len(gs)})")
+    return gs[k]
 
 
 def g_cap(m: Hess, k: int) -> SymFun:
     """e_k times the degree-(n-k) cycle-sum function."""
-    n = len(m)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}]")
-    return _cycle_sums(m)[1][k - 1]
+    caps = _cycle_sums(m)[1]  # the gate comes before k is read against n
+    if not 1 <= k <= len(caps):
+        raise ValueError(f"k must lie in [1, {len(caps)}]")
+    return caps[k - 1]
 
 
 def g_total(m: Hess) -> SymFun:

@@ -3,14 +3,16 @@
 A Hessenberg function of length n is a weakly increasing tuple m with
 i <= m(i) <= n.  It encodes a natural unit interval order (i < j in the poset
 iff m(i) < j) whose incomparability graph has the edges (i, j) for
-i < j <= m(i).  Functions here are plain 1-based tuples, validated at
-construction.
+i < j <= m(i).  Functions here are plain 1-based tuples of ints, and
+:func:`check_hess` is the one gate every engine passes m through.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+
+from .errors import NotHessenberg, check_size
 
 Hess = tuple[int, ...]
 
@@ -33,21 +35,27 @@ def hess_fields(text: str) -> list[str]:
     return [f.strip() for f in text.split(",")] if "," in text else text.split()
 
 
+def check_hess(m: Hess) -> Hess:
+    """m itself, when it is a Hessenberg function (a tuple of ints) within the size limit;
+    else :class:`.SizeLimitExceeded`, checked first, or :class:`.NotHessenberg`."""
+    check_size(len(m))
+    if type(m) is not tuple:
+        raise NotHessenberg(f"{m!r} is not a tuple")
+    for i, v in enumerate(m, start=1):
+        if type(v) is not int:
+            raise NotHessenberg(f"entry {v!r} at position {i} is not an int")
+    if (error := hess_error(m)) is not None:
+        raise NotHessenberg(error)
+    return m
+
+
 def hess(values) -> Hess:
-    """Validate and normalize a Hessenberg function: a string is parsed to
-    ints first, and any other entry that is not an ``int`` is refused."""
+    """A Hessenberg function from a string of entries, or from any iterable of ints."""
     if isinstance(values, str):
         if "" in (fields := hess_fields(values)):
             raise ValueError(f"{values!r} has an empty entry")
         values = [int(x) for x in fields]
-    m = tuple(values)
-    for i, v in enumerate(m, start=1):
-        if type(v) is not int:
-            raise ValueError(f"entry {v!r} at position {i} is not an int")
-    error = hess_error(m)
-    if error is not None:
-        raise ValueError(error)
-    return m
+    return check_hess(tuple(values))
 
 
 def area(m: Hess) -> int:

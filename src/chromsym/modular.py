@@ -27,9 +27,9 @@ from functools import lru_cache
 from json import loads
 from types import MappingProxyType
 
-from .errors import DegreeMismatch, InvariantViolation, check_size
+from .errors import DegreeMismatch, InvariantViolation
 from .gfunctions import path_e_closed, path_x_closed
-from .hessenberg import Hess, enumerate_hess, hess_error, path_components
+from .hessenberg import Hess, check_hess, enumerate_hess, hess_error, path_components
 from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
@@ -113,7 +113,7 @@ def reduction_step(m: Hess) -> tuple[Term, ...]:
     alpha is the largest value in [n-1] that m misses while alpha + 1 is
     attained first at some beta < alpha; m is flat when m(alpha) = m(alpha+1).
     """
-    if path_components(m) is not None:
+    if path_components(check_hess(m)) is not None:
         raise ValueError(f"{m} is a union of paths")
     values = set(m)
     for a in range(len(m) - 1, 0, -1):
@@ -168,8 +168,7 @@ def reduce_to_paths(m: Hess) -> Certificate:
     Dyck path strictly to the right.  The result is cached, so it is a
     read-only view.
     """
-    check_size(len(m))
-    parts = path_components(m)
+    parts = path_components(check_hess(m))
     if parts is not None:
         return MappingProxyType({parts: QRat.over_one_plus_q(1, 0)})
     return _combine(reduction_step(m))

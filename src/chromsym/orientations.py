@@ -22,8 +22,8 @@ from collections import Counter
 from functools import lru_cache
 
 from .coloring import x_colorings
-from .errors import InvalidFilling, InvariantViolation, check_size
-from .hessenberg import Hess, edges
+from .errors import InvalidFilling, InvariantViolation
+from .hessenberg import Hess, check_hess, edges
 from .ptableaux import Filling, entry_rows, pt_masks, s_fun
 from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
@@ -36,8 +36,7 @@ def _acyclic(m: Hess) -> list[tuple[int, int]]:
     The last edge is decided first, (j, i) before (i, j).  A choice closing
     a cycle is pruned; ``reach[v]`` is the set of vertices v reaches, v included.
     """
-    n = len(m)
-    check_size(n)
+    n = len(check_hess(m))
     choices = [  # per edge (i, j), (tail, head, bit of theta) for (j, i) and then (i, j)
         ((j, i, 0), (i, j, 1 << idx)) for idx, (i, j) in enumerate(edges(m))
     ]
@@ -74,9 +73,10 @@ def ao_tally(m: Hess) -> tuple[dict[int, QPoly], dict[int, QPoly], list[tuple[in
     """In one pass, the ascent polynomials by sink count of all acyclic orientations
     and of those where 1 is a sink (the tail of no edge), and the latter in
     increasing order with their sink counts."""
+    acyclic = _acyclic(m)  # the gate, before edges(m) reads m
     n, width, sink1 = len(m), len(edges(m)) + 1, []
     everything, corner = ([[0] * width for _ in range(n + 1)] for _ in range(2))
-    for theta, tails in _acyclic(m):
+    for theta, tails in acyclic:
         ell, ups = n - tails.bit_count(), theta.bit_count()
         everything[ell][ups] += 1
         if not tails & 2:
@@ -94,7 +94,7 @@ def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
 @lru_cache(maxsize=1)
 def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
     """Per vertex 1..n, the masks of all its edges and of its edges to smaller vertices."""
-    both, down = [0] * (len(m) + 1), [0] * (len(m) + 1)
+    both, down = [0] * (len(check_hess(m)) + 1), [0] * (len(m) + 1)
     for idx, (i, j) in enumerate(edges(m)):
         both[i] |= 1 << idx
         both[j] |= 1 << idx
@@ -110,7 +110,7 @@ def sinks(m: Hess, theta: int) -> set[int]:
 def theta_of(m: Hess, rows: Filling) -> int:
     """Orient each edge toward its endpoint lying in the higher row."""
     pos = entry_rows(rows)
-    if set(pos) != set(range(1, len(m) + 1)):
+    if set(pos) != set(range(1, len(check_hess(m)) + 1)):
         raise InvalidFilling("the filling must use 1..n exactly once")
     theta = 0  # rows are chains, so every edge climbs rows and no cycle can close
     for idx, (i, j) in enumerate(edges(m)):

@@ -19,8 +19,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import InvalidFilling, InvariantViolation, IsBaseTableau, check_size
-from .hessenberg import Hess, area, edges, path
+from .errors import InvalidFilling, InvariantViolation, IsBaseTableau
+from .hessenberg import Hess, area, check_hess, edges, path
 from .partitions import Partition, check_partition, partitions, shape_of
 from .qpoly import QPoly
 from .symfunc import SymFun
@@ -40,7 +40,7 @@ def entry_rows(rows: Filling) -> dict[int, int]:
 
 def inv_filling(m: Hess, rows: Filling) -> int:
     """Edges (i, j), i < j <= m(i), with j strictly above i in the filling."""
-    n = len(m)
+    n = len(check_hess(m))
     pos = entry_rows(rows)
     if any(not 1 <= x <= n for x in pos):
         raise InvalidFilling(f"entries must lie in [1, {n}]")
@@ -86,7 +86,7 @@ def _diagram(row_lengths: tuple[int, ...]) -> tuple:
 
 def _search(m: Hess, outer: Partition, corner1: bool, keep: bool, by_mask: bool = False):
     """The kernel on a checked m and shape; a shape of n cells that fails a bound is empty."""
-    check_size(len(m))
+    check_hess(m)
     if sum(lam := check_partition(outer)) == len(m) and not _fillable(m, lam):
         return Counter() if by_mask else [0] * (area(m) + 1), []
     return _kernel(m, lam, corner1, keep, by_mask)
@@ -192,7 +192,7 @@ def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
     """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
-    check_size(n := len(m))  # before partitions(n) is built; the kernel checks no n or shape
+    n = len(check_hess(m))  # before partitions(n) is built; the kernel checks no m or shape
     polys = {lam: _kernel(m, lam, corner1, False)[0] for lam in partitions(n) if _fillable(m, lam)}
     return SymFun(n, "s", {lam: QPoly._trusted(c) for lam, c in polys.items()})
 

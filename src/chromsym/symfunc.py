@@ -199,7 +199,7 @@ def combination(degree: int, terms) -> SymFun:
     for c, f in terms:
         if f.degree != degree:
             raise DegreeMismatch(f"degree {f.degree} term in a sum of degree {degree}")
-        a = _coerce(c).coeffs
+        a = (c,) if type(c) is int else _coerce(c).coeffs  # an int skips the checking constructor
         for lam, v in f.coeffs.items():
             _add_product(rows.setdefault(lam, []), a, v.coeffs)
     return _from_rows(degree, rows)

@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add, sub
 
-from .errors import MAX_N, InvariantViolation, check_size
-from .hessenberg import Hess, area
+from .errors import MAX_N, InvariantViolation
+from .hessenberg import Hess, area, check_hess
 from .partitions import Partition, Tableau, entry_column, shape_of
 from .qpoly import ZERO, Monomial, QPoly, QRat, cyclotomic_product, q_int, split
 from .symfunc import SymFun, combination
@@ -166,7 +166,7 @@ def thresholds(m: Hess) -> list[int]:
 def _grow(m: Hess, records: list[dict] | None = None) -> Table:
     """Run the growth process for m, which grows one tree for both weight
     variants; optionally record every insertion."""
-    check_size(len(m))
+    check_hess(m)
     states: Table = {(): ((0,) * (MAX_N + 1), 0)}
     for step, r in enumerate(thresholds(m), start=1):
         new: Table = {}
@@ -230,7 +230,8 @@ def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:
 
 def e_part(m: Hess, k: int) -> SymFun:
     """E_k, the refinement by the column k of the largest entry; zero for k outside [1, n]."""
-    return _e_parts(m)[k - 1] if 1 <= k <= len(m) else SymFun.zero(len(m))
+    parts = _e_parts(m)  # the gate, also for a k outside [1, n]
+    return parts[k - 1] if 1 <= k <= len(m) else SymFun.zero(len(m))
 
 
 @lru_cache(maxsize=None)

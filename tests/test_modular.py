@@ -1,11 +1,9 @@
 """Modular triples, the reduction algorithm, and certificate evaluation."""
 
-import ast
 import gc
 import hashlib
 import json
 from functools import reduce
-from pathlib import Path
 
 import pytest
 
@@ -289,19 +287,6 @@ def test_closed_form_matches_every_engine_on_path_unions():
             direct = {"E": e_total(m), "G": g_total(m), "S": s_fun(m)}
             for b, value in direct.items():
                 assert evaluate({key: RAT_ONE}, b) == value, (key, b)
-
-
-def test_modular_imports_only_the_path_closed_forms():
-    tree = ast.parse(Path(modular.__file__).read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert all(node in tree.body for node in imports)  # none inside a function
-    assert all(isinstance(node, ast.ImportFrom) for node in imports)
-    sources = {(node.module or "").split(".")[-1]: node for node in imports}
-    assert "hessenberg" in sources  # the walk does see the real imports
-    assert not sources.keys() & {"transition", "ptableaux", "coloring", "orientations"}
-    assert [a.name for a in sources["gfunctions"].names] == ["path_e_closed", "path_x_closed"]
-    private = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr[0] == "_"]
-    assert private == []  # QRat is read through its public fields and constructors
 
 
 def test_order_of_components_is_significant():
