@@ -11,8 +11,9 @@ Sizes follow the one limit in :mod:`chromsym.errors`: n is at most 8, for
 every command and every suite.  A ``--n`` or ``--m`` above the limit, a
 ``--n`` below 1, or a ``compute --k`` outside its range (1 <= k <= n for Ek
 and Gk, 0 <= k < n for g and 0 <= k <= 8 for rho, n the length of ``--m``)
-is refused with exit code 2 before any work starts; ``--m`` is parsed first,
-so a malformed ``--m`` is a computation error whatever ``--k`` is.  A call
+is refused with exit code 2 before any work starts (``hess`` and ``run_suite``
+refuse the size); ``--m`` is parsed first, so a malformed ``--m`` is a
+computation error whatever ``--k`` is.  A call
 whose first argument names a command is parsed once, by that command's own
 parser; an empty call, any other first argument, or arguments that parser
 leaves over go through the top-level parser, which prints and exits as
@@ -34,22 +35,9 @@ import sys
 from functools import lru_cache
 
 from . import gfunctions, modular, ptableaux, transition, verify
-from .errors import MAX_N
-from .hessenberg import hess, hess_fields
+from .errors import MAX_N, SizeLimitExceeded
+from .hessenberg import hess
 from .symfunc import SymFun
-
-
-def _check_size(args, parser: argparse.ArgumentParser) -> None:
-    """Refuse a request above the size limit, or a suite below n = 1, as a usage error."""
-    if args.command == "verify":
-        n = args.n
-        if n < 1:
-            parser.error(f"--n = {n} is below 1")
-    else:
-        # hess() parses --m later, so that a malformed value stays a computation error
-        n = len(hess_fields(args.m)) if args.m is not None else 0
-    if n > MAX_N:
-        parser.error(f"n = {n} exceeds the limit {MAX_N}")
 
 
 def _rational(text: str) -> Fraction:
@@ -161,7 +149,9 @@ def _cmd_compute(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
+    if args.n < 1:
+        parser.error(f"--n = {args.n} is below 1")
     report = verify.run_suite(args.suite, args.n)
     if args.json:
         print(json.dumps(report))
@@ -205,15 +195,16 @@ def main(argv=None) -> int:
         args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args is None or rest:
         args = parser.parse_args(argv)
-    _check_size(args, parser)
     try:
         if args.command == "compute":
             return _cmd_compute(args, parser)
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, parser)
         if args.command == "reduce":
             return _cmd_reduce(args)
         return _cmd_trace(args)
+    except SizeLimitExceeded as exc:  # from hess or run_suite, before any work
+        parser.error(str(exc))
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,9 +20,7 @@ checks the bound (a state counts at most MAX_N! colorings).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .hessenberg import Hess, check_hess
+from .hessenberg import Hess, check_hess, per_m
 from .partitions import partitions
 from .qpoly import QPoly, unpack
 from .symfunc import SymFun
@@ -32,7 +30,7 @@ Stable = dict[int, list[tuple[int, int]]]
 Memo = dict[tuple[int, tuple[int, ...]], int]
 
 
-@lru_cache(maxsize=1)
+@per_m(1)
 def _class_counts(m: Hess) -> tuple[Stable, Memo]:
     """The stable sets of m by size and the memo of :func:`_count`, for the latest m only."""
     n = len(m)
@@ -72,12 +70,12 @@ def _count(stable: Stable, memo: Memo, placed: int, sizes: tuple[int, ...]) -> i
 
 def content_coefficient(m: Hess, multiplicities: dict[int, int]) -> QPoly:
     """Sum of q^inv over proper colorings using each color a prescribed number of times."""
-    n = len(check_hess(m))
-    if sum(multiplicities.values()) != n or min(multiplicities.values()) < 0:
+    stable, memo = _class_counts(m)
+    if sum(multiplicities.values()) != len(m) or min(multiplicities.values()) < 0:
         raise ValueError("multiplicities must be nonnegative and use every vertex exactly once")
     # Only the order of the colors matters, so color c stands for the c-th smallest.
     sizes = tuple(multiplicities[c] for c in sorted(multiplicities) if multiplicities[c] > 0)
-    return unpack(_count(*_class_counts(m), 0, sizes))
+    return unpack(_count(stable, memo, 0, sizes))
 
 
 def x_colorings(m: Hess) -> SymFun:

@@ -2,16 +2,16 @@
 
 The transition, cycle-sum, P-tableau, coloring, acyclic-orientation and
 reduction engines pass m through one gate, :func:`.hessenberg.check_hess`, before
-their first cache.  It raises :class:`SizeLimitExceeded` for an m longer than
+they read it.  It raises :class:`SizeLimitExceeded` for an m longer than
 :data:`MAX_N`, and :class:`NotHessenberg` for any other m that is not a Hessenberg function.
 
-One rule decides what an engine keeps.  A per-m result that a suite reads again for
-another m is kept for the process: ``transition._e_parts``, ``gfunctions._cycle_sums``,
-``ptableaux.s_fun``, ``modular.reduce_to_paths``.  Per-m scratch, read again only for the
-same m, is kept for the latest m alone (``lru_cache(maxsize=1)``): ``transition._table``,
+One rule decides what an engine keeps, in the caches :func:`.hessenberg.per_m` declares.  A per-m
+result that a suite reads again for another m is kept for the process: ``transition._e_parts``,
+``gfunctions._cycle_sums``, ``ptableaux.s_fun``, ``modular.reduce_to_paths``.  Per-m scratch, read
+again only for the same m, is kept for the latest m alone (``per_m(1)``): ``transition._table``,
 ``gfunctions._cycle_stats``, ``ptableaux._value_masks``, ``orientations._incident``,
-``coloring._class_counts``, and ``transition.insertion_runs`` for one (tableau, r).  A table
-no m decides is kept for the process, as the size limit bounds it: ``transition._weight``,
+``coloring._class_counts``, and ``transition.insertion_runs`` for one (tableau, r).  A table no m
+decides is kept for the process, as the size limit bounds it: ``transition._weight``,
 ``transition._step``, ``ptableaux._diagram``, ``gfunctions._term``, ``gfunctions._e_term``.
 """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import add, mul
 
-from .hessenberg import Hess, check_hess
+from .hessenberg import Hess, per_m
 from .partitions import compositions
 from .qpoly import ONE, QPoly, q_int
 from .symfunc import SymFun, combination, h_to_e, omega
@@ -53,7 +53,7 @@ def _omega_rho_product(parts: tuple[int, ...]) -> SymFun:
     return out
 
 
-@lru_cache(maxsize=1)
+@per_m(1)
 def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     """Aggregate q^wt by (size of the cycle containing 1, sorted other sizes).
 
@@ -63,7 +63,7 @@ def _cycle_stats(m: Hess) -> dict[tuple[int, tuple[int, ...]], QPoly]:
     A permutation is done once every vertex is placed, and is tallied under its
     cycle sizes in order; each distinct tuple is sorted into its key once, at the end.
     """
-    n = len(check_hess(m))
+    n = len(m)
     up = [0] + [(1 << m[x - 1] + 1) - (1 << x + 1) for x in range(1, n + 1)]
     n_edges = sum(b.bit_count() for b in up)
     full = (1 << n + 1) - 1  # bit 0 is always set, so placed + 1 flips the lowest free bit
@@ -105,7 +105,7 @@ def _term(d: int, rest: tuple[int, ...]) -> SymFun:
 _e_term = lru_cache(maxsize=None)(SymFun.e_term)  # e_k for the caps, one per degree k <= n
 
 
-@lru_cache(maxsize=None)
+@per_m(None)
 def _cycle_sums(m: Hess) -> tuple[tuple[SymFun, ...], tuple[SymFun, ...], SymFun]:
     """gfun(m, k) for k in [0, n), with first cycles of size t1 >= n - k and
     d = t1 - (n - k); g_cap(m, k) for k in [1, n]; and g_total, their sum."""
@@ -125,7 +125,7 @@ def gfun(m: Hess, k: int) -> SymFun:
     Sums over bounded permutations whose first cycle has size at least n - k;
     a first cycle of size n - k + d contributes with sign (-1)^d through h_d.
     """
-    gs = _cycle_sums(m)[0]  # the gate comes before k is read against n
+    gs = _cycle_sums(m)[0]  # m is gated before k is read against n
     if not 0 <= k < len(gs):
         raise ValueError(f"k must lie in [0, {len(gs)})")
     return gs[k]
@@ -133,7 +133,7 @@ def gfun(m: Hess, k: int) -> SymFun:
 
 def g_cap(m: Hess, k: int) -> SymFun:
     """e_k times the degree-(n-k) cycle-sum function."""
-    caps = _cycle_sums(m)[1]  # the gate comes before k is read against n
+    caps = _cycle_sums(m)[1]  # m is gated before k is read against n
     if not 1 <= k <= len(caps):
         raise ValueError(f"k must lie in [1, {len(caps)}]")
     return caps[k - 1]

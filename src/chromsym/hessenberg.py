@@ -4,13 +4,14 @@ A Hessenberg function of length n is a weakly increasing tuple m with
 i <= m(i) <= n.  It encodes a natural unit interval order (i < j in the poset
 iff m(i) < j) whose incomparability graph has the edges (i, j) for
 i < j <= m(i).  Functions here are plain 1-based tuples of ints, and
-:func:`check_hess` is the one gate every engine passes m through.
+:func:`check_hess` is the one gate every engine passes m through, also on
+every miss of a cache declared with :func:`per_m`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from functools import lru_cache
+from collections.abc import Callable, Iterator
+from functools import lru_cache, wraps
 
 from .errors import NotHessenberg, check_size
 
@@ -30,11 +31,6 @@ def hess_error(m: tuple[int, ...]) -> str | None:
     return None
 
 
-def hess_fields(text: str) -> list[str]:
-    """The entries of m written as text: split at commas if it has any, else at blanks."""
-    return [f.strip() for f in text.split(",")] if "," in text else text.split()
-
-
 def check_hess(m: Hess) -> Hess:
     """m itself, when it is a Hessenberg function (a tuple of ints) within the size limit;
     else :class:`.SizeLimitExceeded`, checked first, or :class:`.NotHessenberg`."""
@@ -49,10 +45,29 @@ def check_hess(m: Hess) -> Hess:
     return m
 
 
+_passed = lru_cache(maxsize=1, typed=True)(lambda *m: check_hess(m))  # nested misses gate m once
+
+
+def per_m(maxsize: int | None) -> Callable:
+    """Declare a cache of f(m) by Hessenberg function m, the one way an engine keeps one.
+    It is keyed by m's entries and their types, so only a tuple of the same ints as an m
+    already gated hits; a miss passes m through the gate, which keeps the latest m it passed."""
+
+    def declare(f: Callable) -> Callable:
+        keyed = lru_cache(maxsize=maxsize, typed=True)(lambda *m: f(_passed(*m)))
+        cached = wraps(f)(lambda m: keyed(*m) if type(m) is tuple else check_hess(m))
+        cached.cache_info, cached.cache_clear = keyed.cache_info, keyed.cache_clear
+        return cached
+
+    return declare
+
+
 def hess(values) -> Hess:
     """A Hessenberg function from a string of entries, or from any iterable of ints."""
     if isinstance(values, str):
-        if "" in (fields := hess_fields(values)):
+        fields = [f.strip() for f in values.split(",")] if "," in values else values.split()
+        check_size(len(fields))  # before any entry is read
+        if "" in fields:
             raise ValueError(f"{values!r} has an empty entry")
         values = [int(x) for x in fields]
     return check_hess(tuple(values))
@@ -86,14 +101,12 @@ def path(n: int) -> Hess:
     """The Hessenberg function whose graph is the path on n vertices."""
     if n < 1:
         raise ValueError("paths need at least one vertex")
-    if n == 1:
-        return (1,)
     return tuple(range(2, n + 1)) + (n,)
 
 
 @lru_cache(maxsize=None)
 def enumerate_hess(n: int) -> tuple[Hess, ...]:
-    """All Hessenberg functions of length n (Catalan many), lexicographic."""
+    """All Hessenberg functions of length n (Catalan many), lexicographic; none for n < 1."""
 
     def gen(i: int, lo: int) -> Iterator[Hess]:
         if i > n:
@@ -103,7 +116,7 @@ def enumerate_hess(n: int) -> tuple[Hess, ...]:
             for tail in gen(i + 1, v):
                 yield (v,) + tail
 
-    return tuple(gen(1, 1))
+    return tuple(gen(1, 1)) if n > 0 else ()
 
 
 def path_components(m: Hess) -> tuple[int, ...] | None:

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 from .errors import DegreeMismatch, InvariantViolation
 from .gfunctions import path_e_closed, path_x_closed
-from .hessenberg import Hess, check_hess, enumerate_hess, hess_error, path_components
+from .hessenberg import Hess, check_hess, enumerate_hess, hess_error, path_components, per_m
 from .qpoly import ONE_PLUS_Q_MAX, ONE_PLUS_Q_PACKED, Q, QRat, q_int
 from .symfunc import SymFun, combination
 
@@ -159,7 +159,7 @@ def _combine(terms: tuple[tuple[int, int, int, Hess], ...]) -> Certificate:
     return MappingProxyType({k: QRat.over_one_plus_q(s, tops[k]) for k, s in sums.items() if s})
 
 
-@lru_cache(maxsize=None)
+@per_m(None)
 def reduce_to_paths(m: Hess) -> Certificate:
     """Certificate expressing f(m) through values on unions of paths.
 
@@ -168,7 +168,7 @@ def reduce_to_paths(m: Hess) -> Certificate:
     Dyck path strictly to the right.  The result is cached, so it is a
     read-only view.
     """
-    parts = path_components(check_hess(m))
+    parts = path_components(m)
     if parts is not None:
         return MappingProxyType({parts: QRat.over_one_plus_q(1, 0)})
     return _combine(reduction_step(m))

@@ -19,11 +19,10 @@ search, so the binomial check compares two independent computations.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .coloring import x_colorings
 from .errors import InvalidFilling, InvariantViolation
-from .hessenberg import Hess, check_hess, edges
+from .hessenberg import Hess, check_hess, edges, per_m
 from .ptableaux import Filling, entry_rows, pt_masks, s_fun
 from .qpoly import ZERO, QPoly
 from .symfunc import SymFun
@@ -91,10 +90,10 @@ def ao_sink_poly(m: Hess, require_1_sink: bool = False) -> dict[int, QPoly]:
     return ao_tally(m)[1 if require_1_sink else 0]
 
 
-@lru_cache(maxsize=1)
+@per_m(1)
 def _incident(m: Hess) -> tuple[tuple[int, int], ...]:
     """Per vertex 1..n, the masks of all its edges and of its edges to smaller vertices."""
-    both, down = [0] * (len(check_hess(m)) + 1), [0] * (len(m) + 1)
+    both, down = [0] * (len(m) + 1), [0] * (len(m) + 1)
     for idx, (i, j) in enumerate(edges(m)):
         both[i] |= 1 << idx
         both[j] |= 1 << idx

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidFilling, InvariantViolation, IsBaseTableau
-from .hessenberg import Hess, area, check_hess, edges, path
+from .hessenberg import Hess, area, check_hess, edges, path, per_m
 from .partitions import Partition, check_partition, partitions, shape_of
 from .qpoly import QPoly
 from .symfunc import SymFun
@@ -47,7 +47,7 @@ def inv_filling(m: Hess, rows: Filling) -> int:
     return sum(1 for i, j in edges(m) if i in pos and j in pos and pos[j] < pos[i])
 
 
-@lru_cache(maxsize=1)
+@per_m(1)
 def _value_masks(m: Hess) -> tuple:
     """By value x (0 for no neighbour): masks of the values allowed right of and below x and
     of the neighbours y > x, x's first index in edges(m); the longest chain, the largest clique."""
@@ -192,12 +192,12 @@ def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
     """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
-    n = len(check_hess(m))  # before partitions(n) is built; the kernel checks no m or shape
+    n = len(m)
     polys = {lam: _kernel(m, lam, corner1, False)[0] for lam in partitions(n) if _fillable(m, lam)}
     return SymFun(n, "s", {lam: QPoly._trusted(c) for lam, c in polys.items()})
 
 
-@lru_cache(maxsize=None)
+@per_m(None)
 def s_fun(m: Hess) -> SymFun:
     """Schur generating function of primed P-tableaux (entry 1 in the corner)."""
     return _schur_sum(m, corner1=True)
@@ -205,7 +205,7 @@ def s_fun(m: Hess) -> SymFun:
 
 def x_schur(m: Hess) -> SymFun:
     """Schur expansion of the chromatic quasisymmetric function via P-tableaux."""
-    return _schur_sum(m, corner1=False)
+    return _schur_sum(check_hess(m), corner1=False)
 
 
 # --- the path-shape peel bijection ----------------------------------------

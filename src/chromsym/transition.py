@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import add, sub
 
 from .errors import MAX_N, InvariantViolation
-from .hessenberg import Hess, area, check_hess
+from .hessenberg import Hess, area, check_hess, per_m
 from .partitions import Partition, Tableau, entry_column, shape_of
 from .qpoly import ZERO, Monomial, QPoly, QRat, cyclotomic_product, q_int, split
 from .symfunc import SymFun, combination
@@ -166,7 +166,6 @@ def thresholds(m: Hess) -> list[int]:
 def _grow(m: Hess, records: list[dict] | None = None) -> Table:
     """Run the growth process for m, which grows one tree for both weight
     variants; optionally record every insertion."""
-    check_hess(m)
     states: Table = {(): ((0,) * (MAX_N + 1), 0)}
     for step, r in enumerate(thresholds(m), start=1):
         new: Table = {}
@@ -184,7 +183,7 @@ def _grow(m: Hess, records: list[dict] | None = None) -> Table:
     return states
 
 
-_table = lru_cache(maxsize=1)(_grow)  # called with m alone: the walk without records
+_table = per_m(1)(_grow)  # called with m alone: the walk without records
 
 
 def p_table(m: Hess) -> dict[Tableau, QRat]:
@@ -230,11 +229,11 @@ def c_poly(m: Hess, lam: Partition, k: int) -> QPoly:
 
 def e_part(m: Hess, k: int) -> SymFun:
     """E_k, the refinement by the column k of the largest entry; zero for k outside [1, n]."""
-    parts = _e_parts(m)  # the gate, also for a k outside [1, n]
+    parts = _e_parts(m)  # m is gated, also for a k outside [1, n]
     return parts[k - 1] if 1 <= k <= len(m) else SymFun.zero(len(m))
 
 
-@lru_cache(maxsize=None)
+@per_m(None)
 def _e_parts(m: Hess) -> tuple[SymFun, ...]:
     """e_part(m, k) for k = 1, ..., n, each group of the table summed once."""
     n = len(m)
@@ -260,5 +259,5 @@ def x_from_table(m: Hess) -> SymFun:
 def trace(m: Hess) -> list[dict]:
     """Growth tree records for display: one per (parent, child) insertion."""
     records: list[dict] = []
-    _grow(m, records)
+    _grow(check_hess(m), records)
     return records

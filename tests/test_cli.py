@@ -234,16 +234,20 @@ class SuiteStarted(Exception):
 
 @pytest.fixture
 def no_suite_runs(monkeypatch):
-    def fail(name, n_max):
-        raise SuiteStarted(name, n_max)
+    """The real runner checks n; a suite it lets through raises before building an instance."""
 
-    monkeypatch.setattr(verify, "run_suite", fail)
+    def build(n_max):
+        raise SuiteStarted(n_max)
+
+    for suite in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, suite, build)
 
 
-def test_sink_limit_is_a_usage_error(no_suite_runs):
+def test_sink_limit_is_a_usage_error(capsys, no_suite_runs):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "sink", "--n", "9"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("chromsym: error: n = 9 exceeds the limit 8\n")
 
 
 def test_every_other_suite_accepts_the_shared_limit(no_suite_runs):
@@ -252,16 +256,18 @@ def test_every_other_suite_accepts_the_shared_limit(no_suite_runs):
             main(["verify", "--suite", suite, "--n", "8"])
 
 
-def test_every_command_refuses_n_above_the_limit(no_suite_runs, no_engine_runs):
-    for suite in verify.SUITES:
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", suite, "--n", "9"])
-        assert exc.value.code == 2
-    m = "2,3,4,5,6,7,8,9,9"
-    for argv in (["reduce", "--m", m], ["trace", "transition", "--m", m]):
+def test_every_command_refuses_n_above_the_limit(capsys, no_suite_runs, no_engine_runs):
+    # the library refuses the size (run_suite checks --n, hess counts the entries of --m
+    # before it reads one) and the command line makes that refusal a usage error
+    argvs = [["verify", "--suite", suite, "--n", "9"] for suite in verify.SUITES]
+    for m in ("2,3,4,5,6,7,8,9,9", "1,2,3,4,5,6,7,8,x", "1 2 3 4 5 6 7 8 9"):
+        argvs += [["reduce", "--m", m], ["trace", "transition", "--m", m]]
+        argvs += [["compute", "--what", "X", "--m", m], ["compute", "--what", "g", "--m", m, "--k", "1"]]
+    for argv in argvs:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.endswith("chromsym: error: n = 9 exceeds the limit 8\n"), argv
 
 
 def test_verify_refuses_n_below_one(no_suite_runs):
@@ -922,12 +928,13 @@ class Parsed(Exception):
 
 def test_each_call_parses_as_the_top_level_parser_parses_it(capsys, monkeypatch):
     """``main`` and the top-level parser agree on every argv of the corpus: the
-    namespace of a call that parses, else the exit code, and stdout and stderr."""
+    namespace a command is called with, else the exit code, and stdout and stderr."""
 
-    def parsed(args, parser):
+    def parsed(args, *parser):
         raise Parsed(args)
 
-    monkeypatch.setattr(cli, "_check_size", parsed)
+    for command in ("_cmd_compute", "_cmd_verify", "_cmd_reduce", "_cmd_trace"):
+        monkeypatch.setattr(cli, command, parsed)
     parser = cli._parser()[0]
 
     def through_main(argv):

@@ -53,11 +53,15 @@ def test_size_limit():
 
 
 def test_content_coefficient_size_limit_before_any_work():
-    before = coloring._class_counts.cache_info()
+    # the gate refuses m on the cache's miss, before the stable sets are built or kept
+    content_coefficient((2, 2), {1: 2})
     for multiplicities in ({1: 9}, {1: 5, 2: 4}, {1: 1}):  # the last is not even of size 9
         with pytest.raises(SizeLimitExceeded):
             content_coefficient(path(9), multiplicities)
-    assert coloring._class_counts.cache_info() == before
+        assert coloring._class_counts.cache_info().currsize == 1
+    hits = coloring._class_counts.cache_info().hits
+    content_coefficient((2, 2), {1: 1, 2: 1})  # the entry kept is still that of (2, 2)
+    assert coloring._class_counts.cache_info().hits == hits + 1
 
 
 def test_complete_graph():

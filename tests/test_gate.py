@@ -3,9 +3,9 @@
 ``hessenberg.check_hess`` is called where each engine first reads m, so a
 tuple that is not a Hessenberg function within the size limit raises
 ``NotHessenberg`` or ``SizeLimitExceeded`` and no cache keeps anything for it.
-The gate sits inside the caches, so that a hit costs nothing; a cache that
-already holds the Hessenberg function a malformed m equals, as it holds (2, 2)
-when asked for (2.0, 2), answers m as it answers that function.
+Every per-m cache is declared with ``hessenberg.per_m``: a miss passes m through
+the gate, and a hit needs a tuple of the same ints, so a cache that holds (2, 2)
+refuses (2.0, 2) as a cold one does, and a list is refused before any cache.
 Every call here runs under a time limit set in this process with
 ``signal.setitimer``, so an engine that loops fails the test instead of
 hanging the run.
@@ -110,19 +110,9 @@ def caches() -> list:
     return list(found.values())
 
 
-def refused(m, kind: str, value) -> bool:
-    """Whether an outcome is a refusal: the gate's, or an unhashable list met at an lru_cache."""
-    if kind != "raises":
-        return False
-    error, message = value
-    if type(m) is list and error is TypeError:
-        return "unhashable" in message
-    return error in (NotHessenberg, SizeLimitExceeded)
-
-
-def clear_caches() -> None:
-    for cache in caches():
-        cache.cache_clear()
+def refused(kind: str, value) -> bool:
+    """Whether an outcome is the gate's refusal."""
+    return kind == "raises" and value[0] in (NotHessenberg, SizeLimitExceeded)
 
 
 def test_the_table_names_every_public_function_that_takes_m():
@@ -155,8 +145,16 @@ def test_check_hess_returns_m_itself_or_refuses_it():
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_every_entry_point_refuses_the_malformed_examples(name):
-    clear_caches()  # else (2.0, 2) may meet the value cached for (2, 2), which it equals
     for m in MALFORMED:
+        kind, value = outcome(ENTRY_POINTS[name], m)
+        assert kind == "raises" and value[0] is NotHessenberg, (name, m, value)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_warm_cache_refuses_an_equal_m_that_is_not_a_tuple_of_ints(name):
+    # lru_cache compares keys with ==, and (2.0, 2) == (2, 2), (True, 2) == (1, 2) == [1, 2]
+    for h, m in (((2, 2), (2.0, 2)), ((1, 2), (True, 2)), ((1, 2), [1, 2]), ((2, 2), (2, 2.0))):
+        outcome(ENTRY_POINTS[name], h)  # may raise, as reduction_step does on a path
         kind, value = outcome(ENTRY_POINTS[name], m)
         assert kind == "raises" and value[0] is NotHessenberg, (name, m, value)
 
@@ -192,18 +190,21 @@ def test_an_engine_answers_a_hessenberg_function_and_refuses_anything_else(m):
     if h is not None and all(type(v) is int for v in m):
         for name, call in ENTRY_POINTS.items():
             kind, value = outcome(call, m)
-            assert (kind, value) == outcome(call, h) and not refused(m, kind, value), name
+            assert (kind, value) == outcome(call, h) and not refused(kind, value), name
         return
-    # The gate sits inside the caches, so that a hit costs nothing; a cache that already
-    # holds h answers m as it answers h.  With the caches empty, every call refuses m.
+    # The caches hold what earlier examples left, and h's entries too: every call refuses m,
+    # keeps nothing for it and evicts nothing, so h is answered again without a cache miss.
     for name, call in ENTRY_POINTS.items():
+        if h is not None:
+            outcome(call, h)
+        sizes = [c.cache_info().currsize for c in caches()]
         kind, value = outcome(call, m)
-        assert refused(m, kind, value) or h is not None and (kind, value) == outcome(call, h), name
-    clear_caches()
-    for name, call in ENTRY_POINTS.items():
-        kind, value = outcome(call, m)
-        assert refused(m, kind, value), (name, m, kind, value)
-    assert not [c.__qualname__ for c in caches() if c.cache_info().currsize], m
+        assert refused(kind, value), (name, m, kind, value)
+        assert [c.cache_info().currsize for c in caches()] == sizes, (name, m)
+        if h is not None:
+            misses = [c.cache_info().misses for c in caches()]
+            outcome(call, h)
+            assert [c.cache_info().misses for c in caches()] == misses, (name, m)
 
 
 def test_only_the_gate_and_the_suite_runner_call_check_size():

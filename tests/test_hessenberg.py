@@ -96,6 +96,9 @@ def test_enumerate_counts():
     for n in range(1, 9):
         assert len(enumerate_hess(n)) == CATALAN[n]
     assert enumerate_hess(1) == ((1,),)
+    # a Hessenberg function has positive length, so there are none below n = 1
+    for n in (0, -1):
+        assert enumerate_hess(n) == ()
 
 
 def _reference_path_components(m):

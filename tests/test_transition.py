@@ -213,6 +213,46 @@ def test_phi_power_relation_small():
                     assert lhs == rhs, (tab, r, k)
 
 
+def weight_by_definition(runs, k: int, original: bool) -> QRat:
+    """The k-th insertion weight, stated from the runs (1^b0, 0^a1, 1^b1, ..., 0^al, 1^bl, 0^t).
+
+    phi (original) is q^(a_1 + ... + a_k) and psi (modified) is q^(b_{k+1} + ... + b_l), each
+    times the product over the runs i <= k of [a_{i+1..k} + b_{i..k}]_q / [a_{i..k} + b_{i..k}]_q
+    and over the runs i > k of [a_{k+1..i} + b_{k+1..i-1}]_q / [a_{k+1..i} + b_{k+1..i}]_q,
+    where x_{i..j} is x_i + ... + x_j.
+    """
+    _, pairs, _ = runs
+    a = dict(enumerate((x for x, _ in pairs), 1))
+    b = dict(enumerate((y for _, y in pairs), 1))
+
+    def total(x, first, last):
+        return sum(x[j] for j in range(first, last + 1))
+
+    l = len(pairs)
+    weight = QRat(ONE.shifted(total(a, 1, k) if original else total(b, k + 1, l)))
+    for i in range(1, l + 1):
+        if i <= k:
+            up = total(a, i + 1, k) + total(b, i, k)
+            down = total(a, i, k) + total(b, i, k)
+        else:
+            up = total(a, k + 1, i) + total(b, k + 1, i - 1)
+            down = total(a, k + 1, i) + total(b, k + 1, i)
+        weight = weight * QRat(q_int(up), q_int(down))
+    return weight
+
+
+def test_psi_and_phi_match_their_definition():
+    # The appendix suite compares only the two variants' powers of q, as phi reuses
+    # psi's vector; this compares each variant, whole, with its definition.
+    for size in range(0, 6):
+        for tab in all_syt(size):
+            for r in range(0, size + 1):
+                runs = delta_runs(delta_bits(tab, r))
+                for k in range(len(runs[1]) + 1):
+                    assert psi(tab, k, r) == weight_by_definition(runs, k, False), (tab, r, k)
+                    assert phi(tab, k, r) == weight_by_definition(runs, k, True), (tab, r, k)
+
+
 def test_size_limit():
     with pytest.raises(SizeLimitExceeded):
         p_table(path(9))
