@@ -145,8 +145,11 @@ def g_total(m: Hess) -> SymFun:
 
 def x_cycle_sum(m: Hess) -> SymFun:
     """The chromatic quasisymmetric function as a full cycle-type sum."""
-    stats = _cycle_stats(m).items()
-    return combination(len(m), ((c, _omega_rho_product((t1,) + rest)) for (t1, rest), c in stats))
+    by_type: dict[tuple[int, ...], QPoly] = {}  # the stats that share a sorted full cycle type
+    for (t1, rest), c in _cycle_stats(m).items():
+        key = tuple(sorted((t1, *rest), reverse=True))
+        by_type[key] = by_type[key] + c if key in by_type else c
+    return combination(len(m), ((c, _omega_rho_product(key)) for key, c in by_type.items()))
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from itertools import accumulate
 from .errors import InvalidFilling, InvariantViolation, IsBaseTableau
 from .hessenberg import Hess, area, check_hess, edges, path, per_m
 from .partitions import Partition, check_partition, partitions, shape_of
-from .qpoly import QPoly
-from .symfunc import SymFun
+from .qpoly import QPoly, pack
+from .symfunc import SymFun, _from_packed_s
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -86,7 +86,7 @@ def _diagram(row_lengths: tuple[int, ...]) -> tuple:
 
 def _search(m: Hess, outer: Partition, corner1: bool, keep: bool, by_mask: bool = False):
     """The kernel on a checked m and shape; a shape of n cells that fails a bound is empty."""
-    check_hess(m)
+    _value_masks(m)  # gates m through the per-m cache, before the shape is read
     if sum(lam := check_partition(outer)) == len(m) and not _fillable(m, lam):
         return Counter() if by_mask else [0] * (area(m) + 1), []
     return _kernel(m, lam, corner1, keep, by_mask)
@@ -191,10 +191,11 @@ def pt_masks(m: Hess, outer: Partition, corner1: bool = False) -> Counter[int]:
 
 
 def _schur_sum(m: Hess, corner1: bool) -> SymFun:
-    """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n."""
+    """The sum of pt_poly(m, lam, corner1) s_lam over the partitions lam of n, each shape's
+    counts packed as the kernel returns them: a count is at most n! <= 8!, inside 2**40 / 37."""
     n = len(m)
-    polys = {lam: _kernel(m, lam, corner1, False)[0] for lam in partitions(n) if _fillable(m, lam)}
-    return SymFun(n, "s", {lam: QPoly._trusted(c) for lam, c in polys.items()})
+    shapes = (lam for lam in partitions(n) if _fillable(m, lam))
+    return _from_packed_s(n, {lam: pack(_kernel(m, lam, corner1, False)[0]) for lam in shapes})
 
 
 @per_m(None)

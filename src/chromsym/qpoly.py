@@ -576,18 +576,22 @@ ONE_PLUS_Q_PACKED = tuple(((1 << 64) + 1) ** j for j in range(ONE_PLUS_Q_MAX + 1
 _interned: dict[tuple[int, int], QRat] = {}
 
 
-def pack(coeffs) -> int:
-    """p(2**64) for the integer polynomial p with coefficients coeffs (ascending)."""
-    return sum(c << 64 * i for i, c in enumerate(coeffs))
+def pack(coeffs, width: int = 64) -> int:
+    """p(2**width) for the integer polynomial p with coefficients coeffs (ascending)."""
+    return sum(c << width * i for i, c in enumerate(coeffs))
 
 
-def unpack(packed: int) -> QPoly:
-    """The p with p(2**64) = packed and every coefficient within PACK_LIMIT:
-    the base 2**64 digits of packed + 2**63 (1 + 2**64 + ...), less 2**63 each."""
-    k = abs(packed).bit_length() // 64 + 2
-    bias = int.from_bytes((bytes(7) + b"\x80") * k, "little")
-    digits = memoryview((packed + bias).to_bytes(8 * k, sys.byteorder)).cast("Q")
-    out = [d - (1 << 63) for d in digits]
-    if max(map(abs, out)) > PACK_LIMIT:
+def unpack(packed: int, width: int = 64) -> QPoly:
+    """The p with p(2**width) = packed and every coefficient within PACK_LIMIT << width - 64,
+    for a width of 64k bits: packed + B, B = 2**(width-1) (1 + 2**width + ...), has the
+    digits c + 2**(width-1), and B's bits flip them to c in two's complement."""
+    size, k = width // 8, abs(packed).bit_length() // width + 2
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * k, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(size * k, "little")
+    if width == 64 and sys.byteorder == "little":
+        out = memoryview(raw).cast("q").tolist()
+    else:
+        out = [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
+    if max(map(abs, out)) > PACK_LIMIT << width - 64:
         raise InvariantViolation(f"a coefficient of {out} is beyond the packed bound")
     return QPoly._trusted(out)

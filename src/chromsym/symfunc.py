@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache, reduce
-from itertools import compress, zip_longest
-from operator import mul
+from itertools import chain, compress
+from operator import attrgetter, mul
 from types import MappingProxyType
 
 from .errors import DegreeMismatch
 from .partitions import Partition, conjugate, kostka, partitions
-from .qpoly import ONE, ZERO, QPoly
+from .qpoly import ONE, ZERO, QPoly, pack, unpack
 
 BASES = ("e", "m", "s")
 
@@ -171,7 +171,9 @@ class SymFun:
 
 
 def _add_product(row: list[int], a, b) -> None:
-    """row += a * b, all three integer q-coefficient lists, in place."""
+    """row += a * b, all three integer q-coefficient lists, in place, the longer one inner."""
+    if len(a) > len(b):
+        a, b = b, a
     row.extend([0] * (len(a) + len(b) - 1 - len(row)))
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -206,15 +208,32 @@ def combination(degree: int, terms) -> SymFun:
 
 
 def _apply_matrix(coeffs: Mapping[Partition, QPoly], matrix) -> dict[Partition, QPoly]:
-    """sum(row[j] * coefficient j) for each integer row, as one integer dot product
-    per q-degree over the columns of the nonzero coefficients; zeros are dropped."""
-    basis_list, rows = matrix
-    keep = [lam in coeffs for lam in basis_list]
-    nums = (coeffs[lam].coeffs for lam in compress(basis_list, keep))
-    cols = list(zip_longest(*nums, fillvalue=0))
-    rows = (list(compress(row, keep)) for row in rows)
-    dots = (QPoly._trusted([sum(map(mul, row, col)) for col in cols]) for row in rows)
-    return {lam: c for lam, c in zip(basis_list, dots) if not c.is_zero()}
+    """sum(row[j] * coefficient j) for each integer row; zeros are dropped.  The coefficients
+    are packed once, at 64k-bit digits that hold every output coefficient: none exceeds
+    the largest input coefficient times the matrix's largest row L1 norm."""
+    top = max(map(abs, chain.from_iterable(map(attrgetter("coeffs"), coeffs.values()))), default=0)
+    width = 64 * ((top * matrix[2]).bit_length() + 87 >> 6)  # least with bound < PACK_LIMIT << width - 64
+    return _apply_packed({lam: pack(c.coeffs, width) for lam, c in coeffs.items()}, matrix, width)
+
+
+def _apply_packed(packed: Mapping[Partition, int], matrix, width: int = 64) -> dict[Partition, QPoly]:
+    """:func:`_apply_matrix` on inputs packed at ``width`` bits: a dot product per row, unpacked once."""
+    basis_list, rows, _ = matrix
+    keep = [lam in packed for lam in basis_list]
+    vals = [packed[lam] for lam in compress(basis_list, keep)]
+    dots = (sum(map(mul, compress(row, keep), vals)) for row in rows)
+    return {lam: unpack(dot, width) for lam, dot in zip(basis_list, dots) if dot}
+
+
+def _from_packed_s(degree: int, packed: Mapping[Partition, int]) -> SymFun:
+    """The SymFun with Schur coordinates the package packed itself at 64 bits, none
+    above 2**40 / 37, where 37 is the largest row L1 norm of s-to-e up to n = 8."""
+    return SymFun(degree, "e", _apply_packed(packed, _s_to_e_matrix(degree)))
+
+
+def _matrix(basis_list: list[Partition], rows: list[list[int]]):
+    """A basis change: the basis, the integer rows and their largest L1 norm (764 at most, n <= 8)."""
+    return basis_list, rows, max((sum(map(abs, row)) for row in rows), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -238,8 +257,7 @@ def _kostka_inverse(n: int):
 def _e_to_s_matrix(n: int):
     """Row lam, column mu: coefficient K_{lam', mu} of s_lam in e_mu."""
     basis_list = partitions(n)
-    rows = [[kostka(conjugate(lam), mu) for mu in basis_list] for lam in basis_list]
-    return basis_list, rows
+    return _matrix(basis_list, [[kostka(conjugate(lam), mu) for mu in basis_list] for lam in basis_list])
 
 
 @lru_cache(maxsize=None)
@@ -247,22 +265,21 @@ def _s_to_e_matrix(n: int):
     """The inverse of ``_e_to_s_matrix``: K^-1 with column lam moved to lam'."""
     basis_list, inv = _kostka_inverse(n)
     index = {lam: i for i, lam in enumerate(basis_list)}
-    return basis_list, [[row[index[conjugate(lam)]] for lam in basis_list] for row in inv]
+    return _matrix(basis_list, [[row[index[conjugate(lam)]] for lam in basis_list] for row in inv])
 
 
 @lru_cache(maxsize=None)
 def _s_to_m_matrix(n: int):
     basis_list = partitions(n)
-    rows = [[kostka(mu, lam) for mu in basis_list] for lam in basis_list]
-    return basis_list, rows
+    return _matrix(basis_list, [[kostka(mu, lam) for mu in basis_list] for lam in basis_list])
 
 
 @lru_cache(maxsize=None)
 def _m_to_e_matrix(n: int):
     """The inverse of e_to_m = K^T P K, with P the conjugation: s_to_e times (K^-1)^T."""
-    basis_list, s2e = _s_to_e_matrix(n)
+    basis_list, s2e, _ = _s_to_e_matrix(n)
     _, inv = _kostka_inverse(n)
-    return basis_list, [[sum(a * b for a, b in zip(row, col)) for col in inv] for row in s2e]
+    return _matrix(basis_list, [[sum(a * b for a, b in zip(row, col)) for col in inv] for row in s2e])
 
 
 @lru_cache(maxsize=None)

@@ -319,6 +319,16 @@ def test_pack_and_unpack_recover_the_coefficients(v):
     assert unpack(pack(v)) == QPoly(v)
 
 
+@given(st.lists(st.integers(-PACK_LIMIT << 128, PACK_LIMIT << 128), max_size=12))
+def test_pack_and_unpack_recover_the_coefficients_at_wider_digits(v):
+    # a width of 64k bits takes coefficients up to PACK_LIMIT << 64(k - 1)
+    assert unpack(pack(v, 192), 192) == QPoly(v)
+    within = [c >> 64 for c in v]
+    assert unpack(pack(within, 128), 128) == QPoly(within)
+    with pytest.raises(InvariantViolation):
+        unpack(pack(within + [-(PACK_LIMIT << 64) - 1], 128), 128)
+
+
 @given(packable, st.integers(0, 11), st.sampled_from((-1, 1)))
 def test_a_coefficient_beyond_the_limit_is_refused(v, at, sign):
     v = v + [0] * (at + 1 - len(v))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -241,7 +242,7 @@ def test_cached_symfuns_are_read_only():
 
 def _elementwise(coeffs, matrix):
     """A basis change as one QPoly product and sum per nonzero matrix entry."""
-    basis_list, rows = matrix
+    basis_list, rows, _ = matrix
     out = {}
     for lam, row in zip(basis_list, rows):
         total = QPoly()
@@ -254,7 +255,7 @@ def _elementwise(coeffs, matrix):
 
 
 def test_basis_changes_match_elementwise_sums():
-    from chromsym.symfunc import _e_to_s_matrix, _m_to_e_matrix, _s_to_e_matrix
+    from chromsym.symfunc import _e_to_s_matrix, _m_to_e_matrix, _s_to_e_matrix, _s_to_m_matrix
 
     rng = random.Random(11)
     for n in range(0, 7):
@@ -270,6 +271,17 @@ def test_basis_changes_match_elementwise_sums():
                 for via in "esm":
                     back = SymFun(n, via, f.in_basis(via))
                     assert back.in_basis(basis) == nonzero(coeffs), (via, basis, coeffs)
+    # degree 10, at magnitudes on both sides of the bounds of one, two and three 64-bit limbs
+    wide = lambda size: QPoly([rng.choice((-1, 1)) * size + rng.randint(-9, 9) for _ in range(11)])
+    for n, size, (basis, matrix) in product(
+        range(0, 7), (1, 2**33, 2**40, 2**64, 2**100, 10**30), (("s", _s_to_e_matrix), ("m", _m_to_e_matrix))
+    ):
+        coeffs = {lam: wide(size) for lam in partitions(n) if rng.random() < 0.7}
+        f = SymFun(n, basis, coeffs)
+        assert f.coeffs == _elementwise(coeffs, matrix(n)), (n, coeffs)
+        schur = _elementwise(f.coeffs, _e_to_s_matrix(n))
+        assert f.in_basis("s") == schur and f.in_basis(basis) == nonzero(coeffs), (n, coeffs)
+        assert f.in_basis("m") == _elementwise(schur, _s_to_m_matrix(n)), (n, coeffs)
 
 
 def test_rational_coefficients_are_refused():
